@@ -153,19 +153,23 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError("ablation includes a 'D' arm but config.meta_test.task_dropout is not set")
     ds = cfg.source.load()
     base_view, _, novel_view = cfg.views(ds)
-    assets = AblationAssets(
-        base_view=base_view,
-        novel_view=novel_view,
-        build_net=cfg.network_factory(ds),
-        train_cfg=cfg.train,
-        mtest_cfg=cfg.meta_test,
-        espec=cfg.episode,
-        n_episodes=cfg.n_eval_episodes,
-        meta_dropout_template=cfg.train.meta_dropout,
-        task_dropout=cfg.meta_test.task_dropout,
-        config_hash=cfg.config_hash,
-    )
-    rows = run_ablation(grid, assets, _seeds(cfg, args), jobs=args.jobs)
+    rows = []
+    # one sub-grid per regime, each with a head sized for that regime; the
+    # regime is the outermost axis of grid.cells(), so row order is unchanged
+    for regime in grid.regimes:
+        assets = AblationAssets(
+            base_view=base_view,
+            novel_view=novel_view,
+            build_net=cfg.network_factory(ds, regime),
+            train_cfg=cfg.train,
+            mtest_cfg=cfg.meta_test,
+            espec=cfg.episode,
+            n_episodes=cfg.n_eval_episodes,
+            meta_dropout_template=cfg.train.meta_dropout,
+            task_dropout=cfg.meta_test.task_dropout,
+            config_hash=cfg.config_hash,
+        )
+        rows += run_ablation(replace(grid, regimes=(regime,)), assets, _seeds(cfg, args), jobs=args.jobs)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "ablation.csv"
     tmp = csv_path.with_name(csv_path.name + ".tmp")
@@ -219,12 +223,20 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _jobs_value(text: str) -> int:
+    value = int(text)
+    limit = os.cpu_count() or 1
+    if not (1 <= value <= limit):
+        raise argparse.ArgumentTypeError(f"jobs must lie in 1..{limit} (the CPU count), got {value}")
+    return value
+
+
 def _add_common(sp, config_required: bool = True) -> None:
     sp.add_argument("--config", required=config_required, help="experiment config (JSON)")
     sp.add_argument("--seed", type=_seed_value, default=None,
                     help="single seed overriding the config's seed list")
     sp.add_argument("--out", default=None, help="output directory (overrides config.out)")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for episodes/cells")
+    sp.add_argument("--jobs", type=_jobs_value, default=1, help="worker processes for episodes/cells")
     sp.add_argument("--force", action="store_true", help="skip the architecture-hash guard")
 
 

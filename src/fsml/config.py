@@ -169,9 +169,12 @@ class ExperimentConfig:
     def views(self, ds: Dataset) -> tuple[Dataset, Dataset, Dataset]:
         return split_classes(ds, self.resolve_split(ds))
 
-    def network_factory(self, ds: Dataset) -> NetworkFactory:
-        """Head width follows the regime: base classes for pretraining, C for episodic."""
-        if self.regime == "pretrain_finetune":
+    def network_factory(self, ds: Dataset, regime: str | None = None) -> NetworkFactory:
+        """Head width follows the regime: base classes for pretraining, C for episodic.
+
+        `regime` defaults to the config's own; an ablation cell passes its own.
+        """
+        if (regime or self.regime) == "pretrain_finetune":
             n_classes = len(self.resolve_split(ds).base)
         else:
             n_classes = self.episode.C

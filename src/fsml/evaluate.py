@@ -74,9 +74,7 @@ def _episode_accuracy(state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
                       mcfg: MetaTestConfig, seed: int, index: int) -> float:
     ep_rng = Rng(seed).derive(f"eval-episode-{index}")
     episode = sample_episode(view, espec, ep_rng.derive("sample"))
-    working = state.clone()
-    working.restore()
-    adapted = meta_test(working, episode.support, mcfg, ep_rng)
+    adapted = meta_test(state, episode.support, mcfg, ep_rng)
     logits = forward(adapted.network, episode.query.x, MODE_EVAL, STAGE_META_TESTING)
     predicted = np.argmax(logits.data, axis=1)
     return float((predicted == episode.query.y).mean())

@@ -216,6 +216,24 @@ def _adapt_loss(state: KnowledgeState, logits: Tensor, y: np.ndarray) -> Tensor:
     return loss
 
 
+def _frozen_prefix(net: Network, param_ids, stage: str, specs) -> int:
+    """Count the leading layers whose output is the same on every adaptation pass.
+
+    Such a layer holds none of `param_ids` and carries no mask that fires at
+    `stage`.  The head always stays outside the prefix, so every pass still
+    records a loss on its tape.
+    """
+    updated = set(param_ids)
+    masked = set()
+    for spec in specs:
+        if spec.active(MODE_TRAIN, stage) and spec.keep_prob < 1.0:
+            masked |= spec.placements
+    for k, layer in enumerate(net.layers[:-1]):
+        if layer.tag in masked or updated & layer.params().keys():
+            return k
+    return len(net.layers) - 1
+
+
 def _sgd_passes(
     state: KnowledgeState,
     batch: Batch,
@@ -225,20 +243,29 @@ def _sgd_passes(
     specs,
     rng: Rng | None,
     param_ids,
-    momentum: float = 0.0,
 ) -> list[float]:
-    """`steps` rounds of forward / backward / update on `param_ids` only."""
+    """`steps` rounds of forward / backward / update on `param_ids` only.
+
+    The frozen prefix runs once, off the tape; each pass runs the rest.  The
+    prefix draws no mask, so the passes see the same values and the same
+    random stream as full forwards would.
+    """
+    if steps == 0:
+        return []
     net = state.network
-    opt = Sgd(param_ids, lr, momentum)
+    opt = Sgd(param_ids, lr)
+    k = _frozen_prefix(net, param_ids, stage, specs)
+    x = forward(net, batch.x, MODE_TRAIN, stage, specs, rng, stop=k) if k else batch.x
     losses = []
     for _ in range(steps):
         tape = Tape()
-        logits = forward(net, batch.x, MODE_TRAIN, stage, specs, rng, tape)
+        logits = forward(net, x, MODE_TRAIN, stage, specs, rng, tape, start=k)
         loss = _adapt_loss(state, logits, batch.y)
         grads = backward(tape, loss)
         live = {pid: t.data for pid, t in net.params().items()}
         opt.step(live, grads)
         losses.append(loss.item())
+    net.bind(None)
     return losses
 
 
@@ -329,6 +356,7 @@ def meta_train_episodic(
             "wall_ms": (time.perf_counter() - tick) * 1e3,
         })
     net.load_values(prototype)
+    net.bind(None)
     state.snapshot()
     return state
 
@@ -384,6 +412,7 @@ def meta_train_pretrain(
             "task_loss": mean_loss,
             "wall_ms": (time.perf_counter() - tick) * 1e3,
         })
+    net.bind(None)
     state.snapshot()
     return state
 

@@ -324,11 +324,13 @@ class Network:
         self.layers = layers
         self.input_shape = tuple(int(d) for d in input_shape)
         self._mask_shapes: dict[str, tuple[int, ...]] = {}
+        self._in_shapes: list[tuple[int, ...]] = []
         shape = self.input_shape
         for layer in layers:
+            self._in_shapes.append(shape)
             mask_shape, shape = layer.shapes(shape)
             self._mask_shapes[layer.tag] = mask_shape
-        self.head_in_dim = int(np.prod(self._mask_shapes[tags[-2]])) if len(layers) > 1 else int(np.prod(input_shape))
+        self.head_in_dim = int(np.prod(self._in_shapes[-1]))
 
     @property
     def tags(self) -> frozenset[str]:
@@ -454,9 +456,14 @@ def forward(
     specs=(),
     rng: Rng | None = None,
     tape: Tape | None = None,
+    start: int = 0,
+    stop: int | None = None,
 ) -> Tensor:
-    """Run the network on a [B, *input_shape] batch and return logits.
+    """Run layers [start, stop) of the network on a batch and return the output.
 
+    By default that is the whole network on a [B, *input_shape] batch, and the
+    output is the logits; with `start` the batch is the output of layer
+    start - 1, and with `stop` the result is the output of layer stop - 1.
     A spec's masks fire only when mode == "train" and its stage matches
     `stage`; everything else is a pure function of the parameters.  Masks are
     drawn from `rng` per forward pass, one independent [C,H,W] draw per sample
@@ -466,9 +473,13 @@ def forward(
         raise ContractError(f"unknown mode {mode!r}")
     if stage not in (STAGE_META_TRAINING, STAGE_META_TESTING):
         raise ContractError(f"unknown stage {stage!r}")
+    stop = len(net.layers) if stop is None else stop
+    if not 0 <= start < stop <= len(net.layers):
+        raise ContractError(f"layer range [{start}, {stop}) is not a non-empty range of {len(net.layers)} layers")
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    if x.data.ndim != len(net.input_shape) + 1 or x.shape[1:] != net.input_shape:
-        raise DimensionError(f"batch shape {x.shape} does not match input shape {net.input_shape}")
+    in_shape = net._in_shapes[start]
+    if x.data.ndim != len(in_shape) + 1 or x.shape[1:] != in_shape:
+        raise DimensionError(f"batch shape {x.shape} does not match input shape {in_shape} of layer {start}")
     validate_specs(net, specs)
     active = [s for s in specs if s.active(mode, stage)]
     if rng is None and any(s.keep_prob < 1.0 for s in active):
@@ -489,7 +500,7 @@ def forward(
         return t
 
     out = x
-    for layer in net.layers:
+    for layer in net.layers[start:stop]:
         out = layer.apply(out, inject)
     return out
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -282,6 +283,43 @@ def test_ablate_writes_csv(tmp_path, capsys):
     assert len(rows) == 9
     arms = {r[1] for r in rows[1:]}
     assert arms == {"none", "M", "D", "M&D"}
+
+
+@pytest.mark.parametrize("top_regime", ["pretrain_finetune", "episodic"])
+def test_ablate_sizes_each_head_from_the_cell_regime(tmp_path, capsys, monkeypatch, top_regime):
+    from fsml import evaluate
+
+    heads = []
+    run_cell = evaluate.run_cell
+
+    def recording_run_cell(cell, assets, seed):
+        heads.append((cell.regime, assets.build_net(seed)[0].n_classes))
+        return run_cell(cell, assets, seed)
+
+    monkeypatch.setattr(evaluate, "run_cell", recording_run_cell)
+    raw = base_config(out=tmp_path / "o", regime=top_regime)
+    raw["ablation"] = {"arms": ["none"], "kinds": ["standard"], "batch_sizes": [8],
+                       "regimes": ["pretrain_finetune", "episodic"]}
+    assert main(["ablate", "--config", write_config(tmp_path, raw)]) == 0
+    assert "ablation: 2 runs, 0 failed" in capsys.readouterr().out
+    # 6 base classes for pretraining, C = 2 ways for episodic training
+    assert heads == [("pretrain_finetune", 6), ("episodic", 2)]
+    with open(tmp_path / "o" / "ablation.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["pretrain_finetune"] * 2 + ["episodic"] * 2
+    assert all(r[-1] == "" for r in rows[1:])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "cpu_count + 1"])
+def test_jobs_outside_one_to_cpu_count_rejected(tmp_path, capsys, jobs):
+    limit = os.cpu_count() or 1
+    value = str(limit + 1) if jobs == "cpu_count + 1" else jobs
+    cfg_path = write_config(tmp_path, base_config(out=tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", cfg_path, "--jobs", value])
+    assert exc.value.code == 2
+    assert f"jobs must lie in 1..{limit} (the CPU count), got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_ablate_requires_templates(tmp_path, capsys):

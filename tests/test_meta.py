@@ -1,13 +1,19 @@
 """Meta/task knowledge separation, both training regimes, meta-test adaptation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from fsml.data import Batch, EpisodeDistribution, EpisodeSpec, SyntheticSpec, gen_synthetic
+from fsml import meta as meta_module
+from fsml import ops
+from fsml.data import Batch, EpisodeDistribution, EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode
 from fsml.errors import ConfigurationError, ContractError
+from fsml.evaluate import evaluate_fewshot
 from fsml.meta import (
     KnowledgeState,
     MetaTestConfig,
+    Sgd,
     TrainConfig,
     analytic_meta_gradient,
     apply_meta_dropout,
@@ -18,6 +24,7 @@ from fsml.meta import (
 )
 from fsml.nn import (
     MODE_EVAL,
+    MODE_TRAIN,
     STAGE_META_TESTING,
     STAGE_META_TRAINING,
     DropoutSpec,
@@ -26,6 +33,7 @@ from fsml.nn import (
     partition_params,
 )
 from fsml.rng import Rng
+from fsml.tensor import Tape, backward
 
 CONV_TAGS = frozenset({"conv1", "conv2", "conv3", "conv4"})
 
@@ -409,3 +417,102 @@ def test_meta_test_meta_dropout_never_fires():
     b = meta_test(state_b, support, cfg, Rng(60))
     va, vb = a.network.values(), b.network.values()
     assert all(np.array_equal(va[k], vb[k]) for k in va)
+
+
+# ---------------------------------------------------------------------------
+# adaptation runs its frozen prefix once
+
+
+def reference_sgd_passes(state, batch, steps, lr, stage, specs, rng, param_ids):
+    """The full forward, backward and update on every step, as the shortcut must compute it."""
+    net = state.network
+    opt = Sgd(param_ids, lr)
+    losses = []
+    for _ in range(steps):
+        tape = Tape()
+        logits = forward(net, batch.x, MODE_TRAIN, stage, specs, rng, tape)
+        loss = meta_module._adapt_loss(state, logits, batch.y)
+        opt.step({pid: t.data for pid, t in net.params().items()}, backward(tape, loss))
+        losses.append(loss.item())
+    return losses
+
+
+def task_drop(place):
+    return DropoutSpec("standard", 0.7, frozenset({place}), STAGE_META_TESTING, 1)
+
+
+# case -> (meta-test config, expected frozen prefix length of the 6-layer Conv-4)
+PREFIX_CASES = {
+    "frozen": (MetaTestConfig(Q=6, finetune_steps=4, finetune_lr=0.5), 5),
+    "frozen, task dropout on conv4": (
+        MetaTestConfig(Q=6, finetune_steps=4, finetune_lr=0.5,
+                       task_dropout=task_drop("conv4")), 3),
+    "frozen, standard dropout on flatten": (
+        MetaTestConfig(Q=6, finetune_steps=4, finetune_lr=0.5,
+                       task_dropout=task_drop("flatten")), 4),
+    "unfrozen": (MetaTestConfig(Q=6, freeze_meta=False, finetune_steps=4, finetune_lr=0.1), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(PREFIX_CASES))
+def test_meta_test_prefix_shortcut_equals_full_passes(case, monkeypatch):
+    mcfg, prefix = PREFIX_CASES[case]
+    state = meta_train_pretrain(*pretrain_setup(seed=4, meta_epochs=2, task_l2=0.01))
+    novel = toy_view(n_classes=4, per_class=6, seed=5)
+    espec = EpisodeSpec(C=3, K=2, Q_query=2)
+    support = sample_episode(novel, espec, Rng(1)).support
+    ids = state.partition.task_ids if mcfg.freeze_meta else state.partition.meta_ids + state.partition.task_ids
+    specs = (mcfg.task_dropout,) if mcfg.task_dropout else ()
+    assert meta_module._frozen_prefix(state.network, ids, STAGE_META_TESTING, specs) == prefix
+
+    def run():
+        adapted = meta_test(state, support, mcfg, Rng(2)).network.values()
+        report = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=6, seed=3)
+        return adapted, report.per_episode_acc
+
+    fast_values, fast_accs = run()
+    monkeypatch.setattr(meta_module, "_sgd_passes", reference_sgd_passes)
+    slow_values, slow_accs = run()
+    assert fast_values.keys() == slow_values.keys()
+    assert all(np.array_equal(fast_values[k], slow_values[k]) for k in fast_values)
+    assert fast_accs == slow_accs
+
+
+def test_episodic_inner_loop_prefix_shortcut_equals_full_passes(monkeypatch):
+    # meta-dropout on conv3 and conv4 leaves conv1 and conv2 as the prefix
+    _, net, part, cfg = setup = episodic_setup(seed=4, meta_dropout=mdrop(kp=0.7))
+    assert meta_module._frozen_prefix(net, part.task_ids, STAGE_META_TRAINING, (cfg.meta_dropout,)) == 2
+    fast = meta_train_episodic(*setup)
+    monkeypatch.setattr(meta_module, "_sgd_passes", reference_sgd_passes)
+    slow = meta_train_episodic(*episodic_setup(seed=4, meta_dropout=mdrop(kp=0.7)))
+    va, vb = fast.network.values(), slow.network.values()
+    assert all(np.array_equal(va[k], vb[k]) for k in va)
+    assert [(e["meta_loss"], e["task_loss"]) for e in fast.log] == [(e["meta_loss"], e["task_loss"]) for e in slow.log]
+
+
+def test_frozen_meta_test_runs_each_conv_once(monkeypatch):
+    calls = []
+    conv2d = ops.conv2d
+
+    def counting_conv2d(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    _, adapted = adapted_pair(freeze=True, steps=5)
+    assert adapted.network.n_classes == 3
+    assert len(calls) == 4
+
+
+def test_trained_and_adapted_states_pickle():
+    states = {
+        "pretrain": meta_train_pretrain(*pretrain_setup(seed=8)),
+        "episodic": meta_train_episodic(*episodic_setup(seed=8)),
+        "adapted": adapted_pair(steps=3)[1],
+    }
+    for name, state in states.items():
+        twin = pickle.loads(pickle.dumps(state))
+        va, vb = state.network.values(), twin.network.values()
+        assert va.keys() == vb.keys(), name
+        assert all(np.array_equal(va[k], vb[k]) for k in va), name
+        assert twin.log == state.log, name

@@ -113,6 +113,28 @@ def test_forward_rejects_wrong_batch_shape():
         forward(net, np.zeros((2, 1, 16, 16), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING)
 
 
+def test_forward_layer_range_splits_the_network_bitwise():
+    net = small_net("cosine")
+    x = Rng(4).uniform_array((3, 1, 32, 32)).astype(np.float32)
+    full = forward(net, x, MODE_EVAL, STAGE_META_TESTING)
+    for k in range(1, len(net.layers)):
+        prefix = forward(net, x, MODE_EVAL, STAGE_META_TESTING, stop=k)
+        rest = forward(net, prefix, MODE_EVAL, STAGE_META_TESTING, start=k)
+        assert np.array_equal(rest.data, full.data)
+
+
+def test_forward_checks_the_batch_against_the_start_layer():
+    net = small_net()
+    image = np.zeros((2, 1, 32, 32), dtype=np.float32)
+    with pytest.raises(DimensionError, match="layer 3"):
+        forward(net, image, MODE_EVAL, STAGE_META_TESTING, start=3)
+    with pytest.raises(DimensionError, match="layer 4"):
+        forward(net, np.zeros((2, 8, 4, 4), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING, start=4)
+    for start, stop in ((2, 2), (-1, 3), (0, len(net.layers) + 1)):
+        with pytest.raises(ContractError, match="layer range"):
+            forward(net, image, MODE_EVAL, STAGE_META_TESTING, start=start, stop=stop)
+
+
 def test_reshape_head_changes_class_count():
     net = small_net("cosine")
     net.reshape_head(3, Rng(77))
