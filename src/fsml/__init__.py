@@ -5,7 +5,7 @@ meta/task parameter partition, and dropout variants that perturb only the
 meta-knowledge during meta-training.
 """
 
-from .checkpoint import apply_checkpoint, dump_params, load_checkpoint, parse_params, save_checkpoint
+from .checkpoint import apply_checkpoint, dump_params, load_checkpoint, parse_params
 from .data import (
     Batch,
     Dataset,

@@ -37,11 +37,6 @@ def dump_params(params: dict[str, np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
-def save_checkpoint(params: dict[str, np.ndarray], path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_params(params))
-
-
 def parse_params(blob: bytes) -> dict[str, np.ndarray]:
     off = 0
 

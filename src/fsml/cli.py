@@ -119,16 +119,22 @@ def cmd_eval(args) -> int:
     for seed in _seeds(cfg, args):
         ckpt_path = out / f"ckpt_seed{seed}.fsml"
         meta_path = out / f"ckpt_seed{seed}.meta.json"
-        if meta_path.exists():
+        params = load_checkpoint(ckpt_path)
+        if not args.force:
+            if not meta_path.exists():
+                raise ConfigurationError(
+                    f"{meta_path.name} is missing, so the architecture of {ckpt_path.name} "
+                    f"cannot be checked; pass --force to evaluate anyway"
+                )
             recorded = json.loads(meta_path.read_text()).get("arch_hash", "")
             expected = factory.arch_hash()
-            if recorded != expected and not args.force:
+            if recorded != expected:
                 raise ConfigurationError(
                     f"{ckpt_path.name} records architecture {recorded[:12]} but the eval "
                     f"config builds {expected[:12]}; pass --force to evaluate anyway"
                 )
         net, partition = factory(seed)
-        apply_checkpoint(net, load_checkpoint(ckpt_path))
+        apply_checkpoint(net, params)
         state = KnowledgeState(network=net, partition=partition, loss=cfg.train.loss,
                                task_l2=cfg.train.task_l2, meta_dropout=cfg.train.meta_dropout,
                                seed=seed)

@@ -27,9 +27,7 @@ from .errors import ConfigurationError
 from .evaluate import AblationGrid
 from .meta import MetaTestConfig, TrainConfig
 from .nn import (
-    STAGE_BOTH,
-    STAGE_META_TESTING,
-    STAGE_META_TRAINING,
+    _STAGES,
     DropoutSpec,
     Network,
     ParamPartition,
@@ -39,7 +37,6 @@ from .nn import (
 from .rng import Rng
 
 REGIMES = ("episodic", "pretrain_finetune")
-_STAGES = (STAGE_META_TRAINING, STAGE_META_TESTING, STAGE_BOTH)
 
 
 def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -308,12 +305,11 @@ def _parse_episode(obj) -> EpisodeSpec:
 
 def _parse_train(obj) -> TrainConfig:
     where = "config.train"
-    _check_keys(obj, where, (), ("M", "N", "inner_steps", "inner_lr", "meta_lr", "meta_epochs",
+    _check_keys(obj, where, (), ("M", "inner_steps", "inner_lr", "meta_lr", "meta_epochs",
                                  "batch_size", "momentum", "meta_dropout", "loss", "task_l2"))
     dropout = parse_dropout_spec(obj["meta_dropout"], where + ".meta_dropout") if obj.get("meta_dropout") else None
     return TrainConfig(
         M=_typed(obj, "M", int, where, default=1),
-        N=_typed(obj, "N", int, where, default=None),
         inner_steps=_typed(obj, "inner_steps", int, where, default=0),
         inner_lr=float(_typed(obj, "inner_lr", (int, float), where, default=0.01)),
         meta_lr=float(_typed(obj, "meta_lr", (int, float), where, default=0.01)),

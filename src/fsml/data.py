@@ -189,12 +189,15 @@ class Episode:
     """Support/query batches with contiguous local labels 0..C-1.
 
     class_map[l] is the class id, in the sampled view, behind local label l.
-    Support and query never share a sample.
+    support_idx[i] and query_idx[i] are the view rows behind support.x[i] and
+    query.x[i].  Support and query never share a sample.
     """
 
     support: Batch
     query: Batch
     class_map: tuple[int, ...]
+    support_idx: np.ndarray
+    query_idx: np.ndarray
 
 
 def sample_episode(view: Dataset, spec: EpisodeSpec, rng: Rng) -> Episode:
@@ -220,6 +223,8 @@ def sample_episode(view: Dataset, spec: EpisodeSpec, rng: Rng) -> Episode:
         support=Batch(view.images[sup_idx], sup_y),
         query=Batch(view.images[qry_idx], qry_y),
         class_map=tuple(int(c) for c in classes),
+        support_idx=sup_idx,
+        query_idx=qry_idx,
     )
 
 

@@ -21,8 +21,16 @@ import numpy as np
 
 from .data import Dataset, EpisodeDistribution, EpisodeSpec, sample_episode
 from .errors import ContractError
-from .meta import KnowledgeState, MetaTestConfig, TrainConfig, meta_test, meta_train_episodic, meta_train_pretrain
-from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, forward
+from .meta import (
+    KnowledgeState,
+    MetaTestConfig,
+    TrainConfig,
+    meta_test,
+    meta_test_prefix,
+    meta_train_episodic,
+    meta_train_pretrain,
+)
+from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
 from .rng import Rng
 
 
@@ -70,26 +78,44 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _episode_accuracy(state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
-                      mcfg: MetaTestConfig, seed: int, index: int) -> float:
+def _embed(net: Network, images: np.ndarray, cut: int, chunk: int) -> np.ndarray:
+    """Layers [0, cut) of `net` on every image, in forwards of exactly `chunk` images.
+
+    The last chunk is zero-padded and the padding trimmed off.  A row's bits
+    depend on the row count of each layer's GEMM, not on the other images in
+    the batch, so with `chunk` the size of an episode's query set every row is
+    bitwise the one that episode's own query forward would give.
+    """
+    n = len(images)
+    padded = np.zeros((-(-n // chunk) * chunk, *images.shape[1:]), dtype=images.dtype)
+    padded[:n] = images
+    parts = [forward(net, padded[i : i + chunk], MODE_EVAL, STAGE_META_TESTING, stop=cut).data
+             for i in range(0, len(padded), chunk)]
+    return np.concatenate(parts)[:n]
+
+
+def _episode_accuracy(index: int, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
+                      mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> float:
+    """Adapt on episode `index` and classify its query rows of `feats`, from layer `cut` on."""
     ep_rng = Rng(seed).derive(f"eval-episode-{index}")
     episode = sample_episode(view, espec, ep_rng.derive("sample"))
     adapted = meta_test(state, episode.support, mcfg, ep_rng)
-    logits = forward(adapted.network, episode.query.x, MODE_EVAL, STAGE_META_TESTING)
+    logits = forward(adapted.network, feats[episode.query_idx], MODE_EVAL, STAGE_META_TESTING, start=cut)
     predicted = np.argmax(logits.data, axis=1)
     return float((predicted == episode.query.y).mean())
 
 
-_POOL_CONTEXT: dict = {}
+# the arguments every task of a pool worker shares, sent once per worker
+_POOL_ARGS: tuple = ()
 
 
-def _pool_init(state, view, espec, mcfg, seed):
-    _POOL_CONTEXT.update(state=state, view=view, espec=espec, mcfg=mcfg, seed=seed)
+def _pool_init(*args) -> None:
+    global _POOL_ARGS
+    _POOL_ARGS = args
 
 
 def _pool_episode(index: int) -> float:
-    c = _POOL_CONTEXT
-    return _episode_accuracy(c["state"], c["view"], c["espec"], c["mcfg"], c["seed"], index)
+    return _episode_accuracy(index, *_POOL_ARGS)
 
 
 def evaluate_fewshot(
@@ -104,20 +130,24 @@ def evaluate_fewshot(
 ) -> EvalReport:
     """Adapt-and-classify over `n_episodes` episodes of the novel view.
 
+    The layers meta_test leaves unchanged (`meta_test_prefix`) run once per
+    call over the whole view, and each episode classifies its query from
+    those features; the result is bitwise that of full query forwards.
     Results are merged by episode index, so jobs > 1 is bit-identical to a
     serial run.  Per-episode accuracies are accumulated in float64 and the
     mean is computed once.
     """
     if n_episodes < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
+    cut = meta_test_prefix(state, mcfg)
+    images = novel_view.images
+    feats = _embed(state.network, images, cut, espec.C * espec.Q_query) if cut else images
+    args = (state, novel_view, espec, mcfg, seed, feats, cut)
     if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init,
-            initargs=(state, novel_view, espec, mcfg, seed),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=args) as pool:
             accs = list(pool.map(_pool_episode, range(n_episodes), chunksize=max(1, n_episodes // (4 * jobs))))
     else:
-        accs = [_episode_accuracy(state, novel_view, espec, mcfg, seed, i) for i in range(n_episodes)]
+        accs = [_episode_accuracy(i, *args) for i in range(n_episodes)]
     acc_array = np.asarray(accs, dtype=np.float64)
     mean, halfwidth = ci95(acc_array)
     return EvalReport(
@@ -248,17 +278,25 @@ def run_cell(cell: AblationCell, assets: AblationAssets, seed: int) -> EvalRepor
 
 
 def run_ablation(grid: AblationGrid, assets: AblationAssets, seeds, jobs: int = 1) -> list[AblationRow]:
-    """Run the full grid x seeds; a failed cell is recorded, not fatal."""
-    work = [((cell, seed), assets) for cell in grid.cells() for seed in seeds]
+    """Run the full grid x seeds; a failed cell is recorded, not fatal.
+
+    With jobs > 1 each worker receives `assets` once, and each task only its
+    (cell, seed).
+    """
+    work = [(cell, seed) for cell in grid.cells() for seed in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_ablation_item, work))
-    return [_run_ablation_item(item) for item in work]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(assets,)) as pool:
+            return list(pool.map(_pool_ablation_item, work))
+    return [_run_ablation_item(item, assets) for item in work]
 
 
-def _run_ablation_item(packed) -> AblationRow:
+def _pool_ablation_item(item) -> AblationRow:
+    return _run_ablation_item(item, *_POOL_ARGS)
+
+
+def _run_ablation_item(item, assets: AblationAssets) -> AblationRow:
     """One (cell, seed) run, exceptions captured so the rest of the grid proceeds."""
-    (cell, seed), assets = packed
+    cell, seed = item
     try:
         return AblationRow(cell, seed, run_cell(cell, assets, seed))
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract

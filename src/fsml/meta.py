@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
 from . import ops
-from .data import Batch, Dataset
+from .data import Batch, Dataset, EpisodeDistribution
 from .errors import ConfigurationError, ContractError
 from .nn import (
     MODE_TRAIN,
@@ -48,21 +47,15 @@ from .tensor import Gradients, Tape, Tensor, backward
 LOSS_KINDS = ("cross_entropy", "squared_error")
 
 
-class TaskDistribution(Protocol):
-    def sample(self, rng: Rng) -> tuple[Batch, Batch]: ...
-
-
 @dataclass
 class TrainConfig:
     """Shared knobs for both regimes.
 
     M is tasks per meta-epoch (episodic); batch_size is the mini-batch size
-    (pretrain).  N records the per-task sample count for the log and defaults
-    to whatever the episode spec or dataset implies.
+    (pretrain).
     """
 
     M: int = 1
-    N: int | None = None
     inner_steps: int = 0
     inner_lr: float = 0.01
     meta_lr: float = 0.01
@@ -77,8 +70,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigurationError(f"M must be >= 1, got {self.M}")
-        if self.N is not None and self.N < 1:
-            raise ConfigurationError(f"N must be >= 1, got {self.N}")
         if self.inner_steps < 0 or self.meta_epochs < 0:
             raise ConfigurationError("inner_steps and meta_epochs cannot be negative")
         if self.inner_lr <= 0 or self.meta_lr <= 0:
@@ -310,7 +301,7 @@ def analytic_meta_gradient(
 
 
 def meta_train_episodic(
-    dist: TaskDistribution,
+    dist: EpisodeDistribution,
     net: Network,
     partition: ParamPartition,
     cfg: TrainConfig,
@@ -439,13 +430,26 @@ def meta_test(state: KnowledgeState, support: Batch, cfg: MetaTestConfig, rng: R
     adapted.snapshot()
     specs = adapted.specs() + ((cfg.task_dropout,) if cfg.task_dropout is not None else ())
     validate_specs(adapted.network, specs)
-    ids = adapted.partition.task_ids if cfg.freeze_meta else (
-        adapted.partition.meta_ids + adapted.partition.task_ids
-    )
     if cfg.finetune_steps > 0:
         _sgd_passes(
             adapted, support, cfg.finetune_steps, cfg.finetune_lr, STAGE_META_TESTING,
-            specs, rng.derive("adapt-masks"), ids,
+            specs, rng.derive("adapt-masks"), _adapted_ids(adapted.partition, cfg),
         )
     adapted.snapshot()
     return adapted
+
+
+def _adapted_ids(partition: ParamPartition, cfg: MetaTestConfig) -> tuple[str, ...]:
+    """The ids meta_test updates: the task head, and the backbone too unless frozen."""
+    return partition.task_ids if cfg.freeze_meta else partition.meta_ids + partition.task_ids
+
+
+def meta_test_prefix(state: KnowledgeState, cfg: MetaTestConfig) -> int:
+    """Count the leading layers whose eval-mode output meta_test leaves unchanged.
+
+    They hold none of the ids meta_test updates, and an eval-mode forward
+    draws no mask, so their output on an image is the same for the trained
+    state and for every state meta_test returns from it.  0 without
+    freeze_meta.
+    """
+    return _frozen_prefix(state.network, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, ())

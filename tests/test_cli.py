@@ -268,6 +268,19 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_without_sidecar_needs_force(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(out=tmp_path / "o"))
+    assert main(["train", "--config", cfg_path]) == 0
+    (tmp_path / "o" / "ckpt_seed0.meta.json").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "ckpt_seed0.meta.json" in err and "--force" in err
+    assert not (tmp_path / "o" / "eval_seed0.json").exists()
+    assert main(["eval", "--config", cfg_path, "--force"]) == 0
+    assert (tmp_path / "o" / "eval_seed0.json").exists()
+
+
 def test_ablate_writes_csv(tmp_path, capsys):
     raw = base_config(out=tmp_path / "o")
     raw["ablation"] = {"arms": ["none", "M", "D", "M&D"], "kinds": ["standard"],

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsml.data import EpisodeSpec, SyntheticSpec, gen_synthetic, split_classes, SplitSpec
+from fsml import evaluate as evaluate_module
+from fsml import ops
+from fsml.data import EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode, split_classes, SplitSpec
 from fsml.errors import ContractError
 from fsml.evaluate import (
     AblationAssets,
@@ -22,8 +24,16 @@ from fsml.evaluate import (
     run_cell,
     write_ablation_csv,
 )
-from fsml.meta import KnowledgeState, MetaTestConfig, TrainConfig
-from fsml.nn import STAGE_META_TESTING, STAGE_META_TRAINING, DropoutSpec, build_conv4, partition_params
+from fsml.meta import KnowledgeState, MetaTestConfig, TrainConfig, meta_test, meta_test_prefix, meta_train_pretrain
+from fsml.nn import (
+    MODE_EVAL,
+    STAGE_META_TESTING,
+    STAGE_META_TRAINING,
+    DropoutSpec,
+    build_conv4,
+    forward,
+    partition_params,
+)
 from fsml.rng import Rng
 
 CONV_TAGS = frozenset({"conv1", "conv2", "conv3", "conv4"})
@@ -167,6 +177,118 @@ def test_evaluate_rejects_bad_episode_count():
     with pytest.raises(ContractError):
         evaluate_fewshot(state, novel, EpisodeSpec(C=2, K=1, Q_query=2), MetaTestConfig(Q=2),
                          n_episodes=0)
+
+
+# ---------------------------------------------------------------------------
+# the query-feature cache
+
+
+@pytest.fixture(scope="module")
+def trained_32px():
+    """A briefly pretrained Conv-4 on 32x32 images, and a novel view of 7 x 9 = 63 images."""
+    ds = gen_synthetic(SyntheticSpec(
+        n_classes=15, samples_per_class=9, image_extent=32,
+        cluster_std=0.1, class_separation=5.0, seed=7))
+    base, _, novel = split_classes(ds, SplitSpec.from_counts(15, 8, 0, 7))
+    net = build_conv4((4, 8, 8, 8), (1, 32, 32), 8, "cosine", Rng(7))
+    state = meta_train_pretrain(base, net, partition_params(net, CONV_TAGS),
+                                TrainConfig(meta_lr=0.2, meta_epochs=4, batch_size=16, seed=7))
+    return state, novel
+
+
+@pytest.mark.parametrize("chunk", [20, 15, 6])
+@pytest.mark.parametrize("cut", [3, 5])
+def test_chunked_embedding_rows_equal_any_forward_of_that_many_images(trained_32px, chunk, cut):
+    # the cache rests on this: a row's bits depend on the batch size, not on
+    # which images share the batch or where the row sits in it
+    state, novel = trained_32px
+    assert novel.n_samples % chunk != 0
+    feats = evaluate_module._embed(state.network, novel.images, cut, chunk)
+    assert feats.shape[0] == novel.n_samples
+    rng = Rng(chunk * 10 + cut)
+    batches = [np.array(rng.choice(novel.n_samples, chunk)) for _ in range(4)]
+    batches.append(np.arange(novel.n_samples - 1, novel.n_samples - 1 - chunk, -1))
+    for idx in batches:
+        rows = forward(state.network, novel.images[idx], MODE_EVAL, STAGE_META_TESTING, stop=cut).data
+        assert rows.dtype == feats.dtype
+        assert np.array_equal(rows, feats[idx])
+
+
+def reference_episodes(state, view, espec, mcfg, n_episodes, seed):
+    """Each episode without the cache: meta_test, then a full forward of the query images.
+
+    Returns the per-episode accuracies and query logits.
+    """
+    accs, logits = [], []
+    for i in range(n_episodes):
+        ep_rng = Rng(seed).derive(f"eval-episode-{i}")
+        episode = sample_episode(view, espec, ep_rng.derive("sample"))
+        adapted = meta_test(state, episode.support, mcfg, ep_rng)
+        out = forward(adapted.network, episode.query.x, MODE_EVAL, STAGE_META_TESTING).data
+        accs.append(float((np.argmax(out, axis=1) == episode.query.y).mean()))
+        logits.append(out)
+    return tuple(accs), logits
+
+
+def _task_drop(place):
+    return DropoutSpec("standard", 0.7, frozenset({place}), STAGE_META_TESTING, 1)
+
+
+_FROZEN = MetaTestConfig(Q=12, finetune_steps=3, finetune_lr=1.0)
+# case -> (meta tags, meta-test config, jobs, expected cut)
+CACHE_CASES = {
+    "frozen": (CONV_TAGS, _FROZEN, 1, 5),
+    "task dropout on conv4": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv4")), 1, 5),
+    "task dropout on flatten": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("flatten")), 1, 5),
+    "conv4 is task knowledge": (CONV_TAGS - {"conv4"}, _FROZEN, 1, 3),
+    "unfrozen": (CONV_TAGS, replace(_FROZEN, freeze_meta=False, finetune_lr=0.1), 1, 0),
+    "jobs=2": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv4")), 2, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(CACHE_CASES))
+def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypatch):
+    tags, mcfg, jobs, cut = CACHE_CASES[case]
+    trained, novel = trained_32px
+    state = KnowledgeState(trained.network, partition_params(trained.network, tags), seed=7)
+    assert meta_test_prefix(state, mcfg) == cut
+    logits = []
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        if "start" in kwargs:  # the forward that classifies an episode's query
+            logits.append(out.data)
+        return out
+
+    monkeypatch.setattr(evaluate_module, "forward", recording_forward)
+    # query sets of 20, 15 and 6 images; at 6, rows from larger batches differ
+    for espec in (EpisodeSpec(C=5, K=1, Q_query=4), EpisodeSpec(C=3, K=2, Q_query=5),
+                  EpisodeSpec(C=2, K=1, Q_query=3)):
+        logits.clear()
+        report = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=3, jobs=jobs)
+        ref_accs, ref_logits = reference_episodes(state, novel, espec, mcfg, 12, seed=3)
+        assert report.per_episode_acc == ref_accs
+        if jobs == 1:
+            assert len(logits) == 12
+            assert all(np.array_equal(a, b) for a, b in zip(logits, ref_logits))
+
+
+def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
+    calls = []
+    conv2d = ops.conv2d
+
+    def counting_conv2d(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    state, novel = trained_32px
+    espec = EpisodeSpec(C=5, K=1, Q_query=4)
+    n = 7
+    evaluate_fewshot(state, novel, espec, _FROZEN, n_episodes=n, seed=1)
+    # 4 convs per chunk of C * Q_query images, plus the support prefix of each
+    # episode; without the cache each query forward adds 4 more per episode
+    assert len(calls) == 4 * math.ceil(novel.n_samples / 20) + 4 * n
 
 
 # ---------------------------------------------------------------------------
