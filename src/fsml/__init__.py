@@ -72,6 +72,6 @@ from .nn import (
     validate_specs,
 )
 from .rng import Rng
-from .tensor import Gradients, Tape, Tensor, backward, finite_diff_grad
+from .tensor import Tape, Tensor, backward, finite_diff_grad
 
 __version__ = "0.1.0"

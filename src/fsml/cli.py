@@ -15,12 +15,13 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import apply_checkpoint, dump_params, load_checkpoint
-from .config import ExperimentConfig, NetworkFactory, load_config
-from .data import Dataset, EpisodeDistribution, gen_synthetic, write_dataset
+from .config import ExperimentConfig, load_config
+from .data import gen_synthetic, write_dataset
 from .errors import ConfigurationError, FsmlError
 from .evaluate import (
     AblationAssets,
@@ -29,7 +30,7 @@ from .evaluate import (
     run_ablation,
     write_ablation_csv,
 )
-from .meta import KnowledgeState, meta_train_episodic, meta_train_pretrain
+from .meta import KnowledgeState, meta_train
 from .oracle import run_all_gates
 
 log = logging.getLogger("fsml")
@@ -44,19 +45,23 @@ def _setup_logging() -> None:
     logging.basicConfig(level=_LOG_LEVELS[name], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Temp file in the destination directory, then rename."""
+def _atomic_write(path: Path, data: bytes | Callable[[str], None]) -> None:
+    """Temp file in the destination directory, then rename.
+
+    `data` is the bytes to write, or a callable that writes the file at the
+    path it is given.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        if callable(data):
+            data(tmp)
+        else:
+            Path(tmp).write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
@@ -75,15 +80,6 @@ def _seeds(cfg: ExperimentConfig, args) -> tuple[int, ...]:
 # subcommands
 
 
-def _train_one(cfg: ExperimentConfig, base_view: Dataset, factory: NetworkFactory, seed: int) -> KnowledgeState:
-    net, partition = factory(seed)
-    tc = replace(cfg.train, seed=seed)
-    if cfg.regime == "episodic":
-        dist = EpisodeDistribution(base_view, cfg.episode)
-        return meta_train_episodic(dist, net, partition, tc)
-    return meta_train_pretrain(base_view, net, partition, tc)
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(cfg, args)
@@ -92,7 +88,8 @@ def cmd_train(args) -> int:
     factory = cfg.network_factory(ds)
     for seed in _seeds(cfg, args):
         started = time.monotonic()
-        state = _train_one(cfg, base_view, factory, seed)
+        net, partition = factory(seed)
+        state = meta_train(cfg.regime, base_view, cfg.episode, net, partition, replace(cfg.train, seed=seed))
         sidecar = {
             "arch_hash": factory.arch_hash(),
             "config_hash": cfg.config_hash,
@@ -176,15 +173,8 @@ def cmd_ablate(args) -> int:
             config_hash=cfg.config_hash,
         )
         rows += run_ablation(replace(grid, regimes=(regime,)), assets, _seeds(cfg, args), jobs=args.jobs)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "ablation.csv"
-    tmp = csv_path.with_name(csv_path.name + ".tmp")
-    try:
-        write_ablation_csv(rows, tmp)
-        os.replace(tmp, csv_path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _atomic_write(csv_path, lambda tmp: write_ablation_csv(rows, tmp))
     failed = [r for r in rows if r.report is None]
     for row in failed:
         log.error("cell %s seed %d failed: %s", row.cell, row.seed, row.error)
@@ -198,15 +188,8 @@ def cmd_gen_data(args) -> int:
         raise ConfigurationError("gen-data requires config.dataset.synthetic")
     out = _resolve_out(cfg, args)
     ds = gen_synthetic(cfg.source.synthetic)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "dataset.fsds"
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write_dataset(ds, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _atomic_write(path, lambda tmp: write_dataset(ds, tmp))
     print(f"wrote {path}: {ds.n_classes} classes, {ds.n_samples} samples")
     return 0
 

@@ -24,9 +24,11 @@ from .data import (
     split_classes,
 )
 from .errors import ConfigurationError
-from .evaluate import AblationGrid
-from .meta import MetaTestConfig, TrainConfig
+from .evaluate import _ARMS, AblationGrid
+from .meta import REGIMES, MetaTestConfig, TrainConfig
 from .nn import (
+    _HEADS,
+    _KINDS,
     _STAGES,
     DropoutSpec,
     Network,
@@ -35,8 +37,6 @@ from .nn import (
     partition_params,
 )
 from .rng import Rng
-
-REGIMES = ("episodic", "pretrain_finetune")
 
 
 def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -83,14 +83,6 @@ def parse_dropout_spec(obj: dict, where: str) -> DropoutSpec:
         raise ConfigurationError(f"{where}: dropblock requires block_size")
     return DropoutSpec(kind=kind, keep_prob=keep_prob, placements=frozenset(placements),
                        stage=stage, block_size=block_size)
-
-
-def _dropout_to_json(spec: DropoutSpec | None):
-    if spec is None:
-        return None
-    return {"kind": spec.kind, "keep_prob": spec.keep_prob,
-            "placements": sorted(spec.placements), "stage": spec.stage,
-            "block_size": spec.block_size}
 
 
 @dataclass(frozen=True)
@@ -278,8 +270,8 @@ def _parse_network(obj) -> tuple[tuple[int, int, int, int], str, float]:
     if len(widths) != 4:
         raise ConfigurationError(f"config.network.widths must list 4 widths, got {len(widths)}")
     head = _typed(obj, "head", str, "config.network")
-    if head not in ("linear", "cosine"):
-        raise ConfigurationError(f"config.network.head must be 'linear' or 'cosine', got {head!r}")
+    if head not in _HEADS:
+        raise ConfigurationError(f"config.network.head must be one of {list(_HEADS)}, got {head!r}")
     scale = float(_typed(obj, "cosine_scale", (int, float), "config.network", default=10.0))
     if "cosine_scale" in obj and head != "cosine":
         raise ConfigurationError("config.network.cosine_scale only applies to the cosine head")
@@ -338,12 +330,12 @@ def _parse_meta_test(obj, n_eval: int) -> MetaTestConfig:
 def _parse_ablation(obj, default_regime: str, default_batch: int) -> AblationGrid:
     where = "config.ablation"
     _check_keys(obj, where, (), ("arms", "kinds", "placements", "batch_sizes", "regimes"))
-    arms = obj.get("arms", ["none", "M", "D", "M&D"])
-    if not isinstance(arms, list) or any(a not in ("none", "M", "D", "M&D") for a in arms):
-        raise ConfigurationError(f"{where}.arms must be drawn from ['none', 'M', 'D', 'M&D'], got {arms!r}")
+    arms = obj.get("arms", list(_ARMS))
+    if not isinstance(arms, list) or any(a not in _ARMS for a in arms):
+        raise ConfigurationError(f"{where}.arms must be drawn from {list(_ARMS)}, got {arms!r}")
     kinds = obj.get("kinds", ["dropblock"])
-    if not isinstance(kinds, list) or any(k not in ("standard", "spatial", "dropblock") for k in kinds):
-        raise ConfigurationError(f"{where}.kinds must be dropout kinds, got {kinds!r}")
+    if not isinstance(kinds, list) or any(k not in _KINDS for k in kinds):
+        raise ConfigurationError(f"{where}.kinds must be drawn from {list(_KINDS)}, got {kinds!r}")
     placements = obj.get("placements", [["conv3", "conv4"]])
     if not isinstance(placements, list) or not all(
         isinstance(p, list) and all(isinstance(t, str) for t in p) for p in placements

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, EpisodeDistribution, EpisodeSpec, sample_episode
+from .data import Dataset, EpisodeSpec, sample_episode
 from .errors import ContractError
 from .meta import (
     KnowledgeState,
@@ -27,8 +27,7 @@ from .meta import (
     TrainConfig,
     meta_test,
     meta_test_prefix,
-    meta_train_episodic,
-    meta_train_pretrain,
+    meta_train,
 )
 from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
 from .rng import Rng
@@ -132,14 +131,16 @@ def evaluate_fewshot(
 
     The layers meta_test leaves unchanged (`meta_test_prefix`) run once per
     call over the whole view, and each episode classifies its query from
-    those features; the result is bitwise that of full query forwards.
+    those features; the result is bitwise that of full query forwards.  When
+    the episodes read fewer query images than the view holds, embedding it
+    would cost more than it saves, so each query runs the whole network.
     Results are merged by episode index, so jobs > 1 is bit-identical to a
     serial run.  Per-episode accuracies are accumulated in float64 and the
     mean is computed once.
     """
     if n_episodes < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
-    cut = meta_test_prefix(state, mcfg)
+    cut = meta_test_prefix(state, mcfg) if n_episodes * espec.C * espec.Q_query >= novel_view.n_samples else 0
     images = novel_view.images
     feats = _embed(state.network, images, cut, espec.C * espec.Q_query) if cut else images
     args = (state, novel_view, espec, mcfg, seed, feats, cut)
@@ -263,13 +264,7 @@ def run_cell(cell: AblationCell, assets: AblationAssets, seed: int) -> EvalRepor
     meta_spec, task_spec = _cell_specs(cell, assets)
     net, partition = assets.build_net(seed)
     cfg = replace(assets.train_cfg, seed=seed, batch_size=cell.batch_size, meta_dropout=meta_spec)
-    if cell.regime == "pretrain_finetune":
-        state = meta_train_pretrain(assets.base_view, net, partition, cfg)
-    elif cell.regime == "episodic":
-        dist = EpisodeDistribution(assets.base_view, assets.espec)
-        state = meta_train_episodic(dist, net, partition, cfg)
-    else:
-        raise ContractError(f"unknown regime {cell.regime!r}")
+    state = meta_train(cell.regime, assets.base_view, assets.espec, net, partition, cfg)
     mcfg = replace(assets.mtest_cfg, task_dropout=task_spec)
     return evaluate_fewshot(
         state, assets.novel_view, assets.espec, mcfg,

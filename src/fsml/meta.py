@@ -2,17 +2,17 @@
 
 Everything trainable is split once, by layer tag, into meta-knowledge w (the
 transferable backbone) and task-knowledge theta (the classifier head).  Both
-training regimes optimize the same two-stage objective and differ only in how
-they batch the source data:
+training regimes run one meta-training loop and differ only in its task
+source.  Per task, theta is reset from a persistent prototype and adapted on
+the support set (inner loop, task ids only); the loss on the query set then
+updates w and the prototype with the first-order gradient, i.e. the
+query-loss gradient evaluated at (theta*, w) with theta* treated as a
+constant.
 
-* episodic: per episode, theta is reset from a persistent prototype and
-  adapted on the support set (inner loop, task ids only); the meta-loss on the
-  query set then updates w and the prototype with the first-order gradient,
-  i.e. the query-loss gradient evaluated at (theta*, w) with theta* treated as
-  a constant.  With M=1, zero inner steps and the whole set as query this
-  collapses, update for update, into the pretrain regime below.
-* pretrain_finetune: plain mini-batch supervised training of all parameters
-  on the base classes.
+* episodic: the tasks are M sampled episodes per meta-epoch.
+* pretrain_finetune: the tasks are the shuffled mini-batches of the base
+  classes, each its own support and query, with no inner step; this is plain
+  mini-batch supervised training of all parameters.
 
 Meta-dropout is a DropoutSpec with stage "meta_training" placed on meta
 tags only; its masks fire during every meta-training forward (support and
@@ -24,12 +24,12 @@ ordinary dropout (stage "meta_testing") and frozen meta-knowledge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import ops
-from .data import Batch, Dataset, EpisodeDistribution
+from .data import Batch, Dataset, EpisodeDistribution, EpisodeSpec
 from .errors import ConfigurationError, ContractError
 from .nn import (
     MODE_TRAIN,
@@ -42,7 +42,7 @@ from .nn import (
     validate_specs,
 )
 from .rng import Rng
-from .tensor import Gradients, Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward
 
 LOSS_KINDS = ("cross_entropy", "squared_error")
 
@@ -176,7 +176,7 @@ class Sgd:
         self.momentum = float(momentum)
         self._velocity: dict[str, np.ndarray] = {}
 
-    def step(self, values: dict[str, np.ndarray], grads: Gradients) -> None:
+    def step(self, values: dict[str, np.ndarray], grads: dict[str, Tensor]) -> None:
         """Update arrays in `values` (which may be live parameter data) in place."""
         for pid in self.param_ids:
             g = grads[pid].data
@@ -288,7 +288,7 @@ def analytic_meta_gradient(
     query: Batch,
     stage: str = STAGE_META_TRAINING,
     rng: Rng | None = None,
-) -> tuple[Gradients, float]:
+) -> tuple[dict[str, Tensor], float]:
     """First-order meta-gradient: d(query loss)/d(params) at the current values.
 
     The adapted theta* enters only through the current parameter values, so
@@ -300,22 +300,17 @@ def analytic_meta_gradient(
     return backward(tape, loss), loss.item()
 
 
-def meta_train_episodic(
-    dist: EpisodeDistribution,
-    net: Network,
-    partition: ParamPartition,
-    cfg: TrainConfig,
-) -> KnowledgeState:
-    """Episodic regime: M tasks per meta-epoch, first-order meta-updates.
+def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, tasks) -> KnowledgeState:
+    """The meta-training loop; `tasks()` yields the (support, query) pairs of one meta-epoch.
 
-    The task head restarts every episode from a persistent prototype; the
-    prototype itself receives the task part of each first-order meta-gradient,
-    so it is the meta-learned head initialization rather than a frozen draw.
+    The task head restarts every task from a persistent prototype and adapts
+    on the support set; the first-order meta-gradient of the query loss then
+    updates the meta ids and the prototype, so the prototype is the
+    meta-learned head initialization rather than a frozen draw.
     """
     state = KnowledgeState(net, partition, loss=cfg.loss, task_l2=cfg.task_l2, seed=cfg.seed)
     if cfg.meta_dropout is not None:
         apply_meta_dropout(state, cfg.meta_dropout)
-    data_rng = Rng(cfg.seed).derive("episodic-data")
     mask_rng = Rng(cfg.seed).derive("dropout-masks")
     params = net.params()
     prototype = {pid: params[pid].data.copy() for pid in partition.task_ids}
@@ -326,8 +321,7 @@ def meta_train_episodic(
         tick = time.perf_counter()
         meta_losses: list[float] = []
         task_losses: list[float] = []
-        for _ in range(cfg.M):
-            support, query = dist.sample(data_rng)
+        for support, query in tasks():
             if len(support.x) == 0:
                 raise ContractError("support set is empty")
             net.load_values(prototype)
@@ -340,10 +334,11 @@ def meta_train_episodic(
             meta_opt.step(live, grads)
             proto_opt.step(prototype, grads)
             meta_losses.append(loss_value)
+        meta_loss = float(np.mean(np.asarray(meta_losses, dtype=np.float64)))
         state.log.append({
             "epoch": epoch,
-            "meta_loss": float(np.mean(np.asarray(meta_losses, dtype=np.float64))),
-            "task_loss": float(np.mean(np.asarray(task_losses, dtype=np.float64))) if task_losses else None,
+            "meta_loss": meta_loss,
+            "task_loss": float(np.mean(np.asarray(task_losses, dtype=np.float64))) if task_losses else meta_loss,
             "wall_ms": (time.perf_counter() - tick) * 1e3,
         })
     net.load_values(prototype)
@@ -352,17 +347,34 @@ def meta_train_episodic(
     return state
 
 
+def meta_train_episodic(
+    dist: EpisodeDistribution,
+    net: Network,
+    partition: ParamPartition,
+    cfg: TrainConfig,
+) -> KnowledgeState:
+    """Episodic regime: the tasks of a meta-epoch are cfg.M episodes drawn from `dist`."""
+    data_rng = Rng(cfg.seed).derive("episodic-data")
+
+    def episodes():
+        for _ in range(cfg.M):
+            yield dist.sample(data_rng)
+
+    return _meta_train(net, partition, cfg, episodes)
+
+
 def meta_train_pretrain(
     train_view: Dataset,
     net: Network,
     partition: ParamPartition,
     cfg: TrainConfig,
 ) -> KnowledgeState:
-    """Pretrain regime: supervised mini-batch training of all parameters.
+    """Pretrain regime: the tasks are mini-batches, each its own support and query.
 
-    Batch membership is shuffled each epoch, but every batch is processed in
-    ascending dataset order so that parallel or re-run trajectories never
-    depend on shuffle layout within a batch.
+    With no inner step this is plain supervised mini-batch training of all
+    parameters.  Batch membership is shuffled each epoch, but every batch is
+    processed in ascending dataset order so that parallel or re-run
+    trajectories never depend on shuffle layout within a batch.
     """
     if train_view.n_samples == 0:
         raise ContractError("training view is empty")
@@ -372,40 +384,37 @@ def meta_train_pretrain(
         )
     if net.n_classes != train_view.n_classes and cfg.loss == "cross_entropy":
         raise ConfigurationError(f"head has {net.n_classes} classes, view has {train_view.n_classes}")
-    state = KnowledgeState(net, partition, loss=cfg.loss, task_l2=cfg.task_l2, seed=cfg.seed)
-    if cfg.meta_dropout is not None:
-        apply_meta_dropout(state, cfg.meta_dropout)
     shuffle_rng = Rng(cfg.seed).derive("pretrain-shuffle")
-    mask_rng = Rng(cfg.seed).derive("dropout-masks")
-    all_ids = tuple(net.params().keys())
-    opt = Sgd(all_ids, cfg.meta_lr, cfg.momentum)
-
     n = train_view.n_samples
-    for epoch in range(cfg.meta_epochs):
-        tick = time.perf_counter()
+
+    def batches():
         order = list(range(n))
         shuffle_rng.shuffle(order)
-        losses: list[float] = []
         for start in range(0, n, cfg.batch_size):
             idx = np.array(sorted(order[start : start + cfg.batch_size]))
-            tape = Tape()
-            logits = forward(net, train_view.images[idx], MODE_TRAIN, STAGE_META_TRAINING,
-                             state.specs(), mask_rng, tape)
-            loss = _data_loss(state, logits, train_view.labels[idx])
-            grads = backward(tape, loss)
-            live = {pid: t.data for pid, t in net.params().items()}
-            opt.step(live, grads)
-            losses.append(loss.item())
-        mean_loss = float(np.mean(np.asarray(losses, dtype=np.float64)))
-        state.log.append({
-            "epoch": epoch,
-            "meta_loss": mean_loss,
-            "task_loss": mean_loss,
-            "wall_ms": (time.perf_counter() - tick) * 1e3,
-        })
-    net.bind(None)
-    state.snapshot()
-    return state
+            batch = Batch(train_view.images[idx], train_view.labels[idx])
+            yield batch, batch
+
+    return _meta_train(net, partition, replace(cfg, inner_steps=0), batches)
+
+
+REGIMES = ("episodic", "pretrain_finetune")
+
+
+def meta_train(
+    regime: str,
+    base_view: Dataset,
+    espec: EpisodeSpec,
+    net: Network,
+    partition: ParamPartition,
+    cfg: TrainConfig,
+) -> KnowledgeState:
+    """Train in `regime` on the base view: episodes of `espec`, or mini-batches."""
+    if regime == "episodic":
+        return meta_train_episodic(EpisodeDistribution(base_view, espec), net, partition, cfg)
+    if regime == "pretrain_finetune":
+        return meta_train_pretrain(base_view, net, partition, cfg)
+    raise ContractError(f"unknown regime {regime!r}")
 
 
 def meta_test(state: KnowledgeState, support: Batch, cfg: MetaTestConfig, rng: Rng) -> KnowledgeState:

@@ -32,6 +32,7 @@ STAGE_META_TESTING = "meta_testing"
 STAGE_BOTH = "both"
 
 _KINDS = ("standard", "spatial", "dropblock")
+_HEADS = ("linear", "cosine")
 _STAGES = (STAGE_META_TRAINING, STAGE_META_TESTING, STAGE_BOTH)
 _COSINE_EPS = 1e-8
 
@@ -406,7 +407,7 @@ def build_conv4(
         raise ConfigurationError(f"input extents must be positive multiples of 16, got {h}x{w}")
     if n_classes < 2:
         raise ConfigurationError(f"need at least 2 classes, got {n_classes}")
-    if head_kind not in ("linear", "cosine"):
+    if head_kind not in _HEADS:
         raise ConfigurationError(f"unknown head kind {head_kind!r}")
 
     layers = []

@@ -100,26 +100,7 @@ class Tape:
         return nid
 
 
-class Gradients:
-    """Gradient per watched parameter id; shapes mirror the parameters."""
-
-    def __init__(self, by_id: dict[str, Tensor]):
-        self._by_id = by_id
-
-    def __getitem__(self, param_id: str) -> Tensor:
-        return self._by_id[param_id]
-
-    def __contains__(self, param_id: str) -> bool:
-        return param_id in self._by_id
-
-    def ids(self):
-        return self._by_id.keys()
-
-    def items(self):
-        return self._by_id.items()
-
-
-def backward(tape: Tape, loss: Tensor) -> Gradients:
+def backward(tape: Tape, loss: Tensor) -> dict[str, Tensor]:
     """Reverse sweep from `loss`; returns gradients for every watched parameter.
 
     Parameters the loss does not depend on get zero gradients of the right
@@ -154,7 +135,7 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {pid!r}")
         out[pid] = Tensor._result(g, None, None)
-    return Gradients(out)
+    return out
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float) -> Tensor:

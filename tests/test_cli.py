@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from fsml import cli
 from fsml.cli import main
 from fsml.config import config_hash, load_config, parse_config
 from fsml.errors import ConfigurationError
@@ -183,6 +184,23 @@ def test_gen_data_writes_deterministic_file(tmp_path, capsys):
     cfg_path2 = write_config(tmp_path, base_config(out=tmp_path / "b"), name="c2.json")
     assert main(["gen-data", "--config", cfg_path2]) == 0
     assert (tmp_path / "b" / "dataset.fsds").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["gen-data", "ablate"])
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, capsys, monkeypatch, command):
+    def failing_write(_, path):
+        with open(path, "wb") as fh:
+            fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_dataset", failing_write)
+    monkeypatch.setattr(cli, "write_ablation_csv", failing_write)
+    raw = base_config(out=tmp_path / "o")
+    raw["ablation"] = {"arms": ["none"]}
+    cfg_path = write_config(tmp_path, raw)
+    assert main([command, "--config", cfg_path]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_gen_data_requires_synthetic_source(tmp_path, capsys):

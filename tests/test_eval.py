@@ -261,16 +261,18 @@ def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypa
         return out
 
     monkeypatch.setattr(evaluate_module, "forward", recording_forward)
-    # query sets of 20, 15 and 6 images; at 6, rows from larger batches differ
+    # query sets of 20, 15 and 6 images; at 6, rows from larger batches differ.
+    # One episode reads fewer query images than the 63 of the view, so it skips the cache
     for espec in (EpisodeSpec(C=5, K=1, Q_query=4), EpisodeSpec(C=3, K=2, Q_query=5),
                   EpisodeSpec(C=2, K=1, Q_query=3)):
-        logits.clear()
-        report = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=3, jobs=jobs)
-        ref_accs, ref_logits = reference_episodes(state, novel, espec, mcfg, 12, seed=3)
-        assert report.per_episode_acc == ref_accs
-        if jobs == 1:
-            assert len(logits) == 12
-            assert all(np.array_equal(a, b) for a, b in zip(logits, ref_logits))
+        for n in (12, 1):
+            logits.clear()
+            report = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=3, jobs=jobs)
+            ref_accs, ref_logits = reference_episodes(state, novel, espec, mcfg, n, seed=3)
+            assert report.per_episode_acc == ref_accs
+            if jobs == 1:
+                assert len(logits) == n
+                assert all(np.array_equal(a, b) for a, b in zip(logits, ref_logits))
 
 
 def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
@@ -289,6 +291,24 @@ def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
     # 4 convs per chunk of C * Q_query images, plus the support prefix of each
     # episode; without the cache each query forward adds 4 more per episode
     assert len(calls) == 4 * math.ceil(novel.n_samples / 20) + 4 * n
+
+
+def test_small_frozen_evaluate_skips_the_cache(trained_32px, monkeypatch):
+    calls = []
+    conv2d = ops.conv2d
+
+    def counting_conv2d(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    state, novel = trained_32px
+    espec = EpisodeSpec(C=5, K=1, Q_query=4)
+    n = 2
+    assert n * espec.C * espec.Q_query < novel.n_samples
+    evaluate_fewshot(state, novel, espec, _FROZEN, n_episodes=n, seed=1)
+    # no embedding of the view: per episode, the support prefix and the query forward
+    assert len(calls) == 8 * n
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Meta/task knowledge separation, both training regimes, meta-test adaptation."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fsml import meta as meta_module
 from fsml import ops
+from fsml.checkpoint import dump_params
 from fsml.data import Batch, EpisodeDistribution, EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode
 from fsml.errors import ConfigurationError, ContractError
 from fsml.evaluate import evaluate_fewshot
@@ -19,6 +21,7 @@ from fsml.meta import (
     apply_meta_dropout,
     inner_adapt,
     meta_test,
+    meta_train,
     meta_train_episodic,
     meta_train_pretrain,
 )
@@ -328,6 +331,93 @@ def test_pretrain_head_width_guard():
     part = partition_params(net, CONV_TAGS)
     with pytest.raises(ConfigurationError):
         meta_train_pretrain(view, net, part, cfg)
+
+
+# ---------------------------------------------------------------------------
+# pretraining is the meta-training loop over mini-batches
+
+
+def reference_pretrain(view, net, part, cfg):
+    """Plain supervised training: per sorted mini-batch, one taped forward, backward and Sgd over all ids.
+
+    Returns the checkpoint bytes and the per-epoch mean loss.
+    """
+    state = KnowledgeState(net, part, loss=cfg.loss, task_l2=cfg.task_l2, seed=cfg.seed)
+    if cfg.meta_dropout is not None:
+        apply_meta_dropout(state, cfg.meta_dropout)
+    shuffle_rng = Rng(cfg.seed).derive("pretrain-shuffle")
+    mask_rng = Rng(cfg.seed).derive("dropout-masks")
+    opt = Sgd(tuple(net.params()), cfg.meta_lr, cfg.momentum)
+    epoch_losses = []
+    for _ in range(cfg.meta_epochs):
+        order = list(range(view.n_samples))
+        shuffle_rng.shuffle(order)
+        losses = []
+        for start in range(0, view.n_samples, cfg.batch_size):
+            idx = np.array(sorted(order[start : start + cfg.batch_size]))
+            tape = Tape()
+            logits = forward(net, view.images[idx], MODE_TRAIN, STAGE_META_TRAINING, state.specs(), mask_rng, tape)
+            loss = meta_module._data_loss(state, logits, view.labels[idx])
+            opt.step({pid: t.data for pid, t in net.params().items()}, backward(tape, loss))
+            losses.append(loss.item())
+        epoch_losses.append(float(np.mean(np.asarray(losses, dtype=np.float64))))
+    return dump_params(net.values()), epoch_losses
+
+
+# case -> (head, TrainConfig overrides); the 24-image view leaves a last batch of 4 at batch 10
+PRETRAIN_CASES = {
+    "no dropout": ("linear", dict(batch_size=8)),
+    "dropblock on conv3/conv4, momentum 0.9, partial batch": ("linear", dict(
+        batch_size=10, momentum=0.9, meta_dropout=mdrop(kp=0.8, kind="dropblock", block=3))),
+    "standard dropout, cosine head, one batch": ("cosine", dict(
+        batch_size=24, momentum=0.5, meta_dropout=mdrop(kp=0.7, places=("conv2",)))),
+}
+
+
+@pytest.mark.parametrize("case", list(PRETRAIN_CASES))
+def test_pretrain_equals_plain_supervised_loop(case):
+    head, overrides = PRETRAIN_CASES[case]
+    # 32x32 images, so that conv4 maps are 4x4 and fit a dropblock of 3
+    view = gen_synthetic(SyntheticSpec(n_classes=4, samples_per_class=6, image_extent=32,
+                                       cluster_std=0.1, class_separation=2.0, seed=2))
+    cfg = TrainConfig(meta_lr=0.1, meta_epochs=4, seed=9, **overrides)
+    runs = []
+    for train in (meta_train_pretrain, reference_pretrain):
+        net = build_conv4((2, 2, 2, 2), (1, 32, 32), 4, head, Rng(9))
+        runs.append(train(view, net, partition_params(net, CONV_TAGS), cfg))
+    state, (ref_bytes, ref_losses) = runs
+    assert dump_params(state.network.values()) == ref_bytes
+    assert [e["meta_loss"] for e in state.log] == ref_losses
+
+
+def test_meta_train_rejects_unknown_regime():
+    view, net, part, cfg = pretrain_setup()
+    with pytest.raises(ContractError, match="regime"):
+        meta_train("transductive", view, EpisodeSpec(C=3, K=1, Q_query=2), net, part, cfg)
+
+
+@pytest.mark.parametrize("inner_steps", [0, 2])
+def test_task_loss_is_mean_inner_loss_or_meta_loss(inner_steps, monkeypatch):
+    dist, net, part, cfg = episodic_setup(seed=1)
+    cfg = replace(cfg, inner_steps=inner_steps)
+    inner = []
+    sgd_passes = meta_module._sgd_passes
+
+    def recording_sgd_passes(*args):
+        losses = sgd_passes(*args)
+        inner.extend(losses)
+        return losses
+
+    monkeypatch.setattr(meta_module, "_sgd_passes", recording_sgd_passes)
+    state = meta_train_episodic(dist, net, part, cfg)
+    per_epoch = cfg.M * inner_steps
+    assert len(inner) == cfg.meta_epochs * per_epoch
+    for i, entry in enumerate(state.log):
+        if inner_steps:
+            chunk = np.asarray(inner[i * per_epoch : (i + 1) * per_epoch], dtype=np.float64)
+            assert entry["task_loss"] == float(np.mean(chunk))
+        else:
+            assert entry["task_loss"] == entry["meta_loss"]
 
 
 # ---------------------------------------------------------------------------
