@@ -27,6 +27,7 @@ from .evaluate import (
     AblationAssets,
     AblationGrid,
     evaluate_fewshot,
+    one_blas_thread,
     run_ablation,
     write_ablation_csv,
 )
@@ -260,6 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _setup_logging()
+        one_blas_thread()
         return args.fn(args)
     except FsmlError as exc:
         print(f"error: {exc}", file=sys.stderr)

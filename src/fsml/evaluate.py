@@ -13,7 +13,10 @@ Accuracy is reported as mean over episodes with a 95% confidence halfwidth,
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -108,8 +111,27 @@ def _episode_accuracy(index: int, state: KnowledgeState, view: Dataset, espec: E
 _POOL_ARGS: tuple = ()
 
 
+def one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread; a no-op for any other BLAS.
+
+    fsml's GEMMs are small, so a second BLAS thread per process buys little
+    and oversubscribes the cores when processes run side by side.  The thread
+    count changes no result byte.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
+
 def _pool_init(*args) -> None:
     global _POOL_ARGS
+    one_blas_thread()
     _POOL_ARGS = args
 
 

@@ -23,6 +23,8 @@ ordinary dropout (stage "meta_testing") and frozen meta-knowledge.
 
 from __future__ import annotations
 
+import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -45,6 +47,8 @@ from .rng import Rng
 from .tensor import Tape, Tensor, backward
 
 LOSS_KINDS = ("cross_entropy", "squared_error")
+
+log = logging.getLogger("fsml")
 
 
 @dataclass
@@ -341,6 +345,12 @@ def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, tasks
             "task_loss": float(np.mean(np.asarray(task_losses, dtype=np.float64))) if task_losses else meta_loss,
             "wall_ms": (time.perf_counter() - tick) * 1e3,
         })
+    # ln(classes) is the cross-entropy of a uniform guess: a run still there has not learned
+    if cfg.loss == "cross_entropy" and state.log and state.log[-1]["meta_loss"] >= math.log(net.n_classes):
+        log.warning(
+            "seed %d: last epoch's meta_loss %.4f is still at or above ln %d = %.4f, the loss of a uniform guess",
+            cfg.seed, state.log[-1]["meta_loss"], net.n_classes, math.log(net.n_classes),
+        )
     net.load_values(prototype)
     net.bind(None)
     state.snapshot()

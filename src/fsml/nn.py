@@ -145,30 +145,60 @@ def _seed_rate(keep_prob: float, block_size: int, h: int, w: int) -> float:
     return ((1.0 - keep_prob) / (block_size * block_size)) * (h * w / valid)
 
 
+def _dropblock_draw(gamma: float, block: int, shape, rng: Rng, dtype: np.dtype):
+    """One draw of block masks for a [B, C, H, W] map: (values, kept units per sample).
+
+    A seed at (ci, cj) drops [ci, ci+block) x [cj, cj+block), which fits by
+    construction, so the dropped units are the seed map dilated by
+    block x block shifted ORs.
+    """
+    b, c, h, w = shape
+    vh, vw = h - block + 1, w - block + 1
+    seeds = rng.uniform_array((b, c, vh, vw)) < gamma
+    dropped = np.zeros(shape, dtype=bool)
+    for i in range(block):
+        for j in range(block):
+            dropped[:, :, i : i + vh, j : j + vw] |= seeds
+    kept = c * h * w - np.count_nonzero(dropped, axis=(1, 2, 3))
+    scale = (c * h * w / np.maximum(kept, 1)).astype(dtype)
+    return ~dropped * scale[:, None, None, None], kept
+
+
 def _dropblock_values(keep_prob: float, block: int, shape, rng: Rng, dtype: np.dtype) -> np.ndarray:
-    c, h, w = shape
+    """Dropblock values for a [B, C, H, W] map, equal to B draws of one sample each.
+
+    A sample whose draw drops every unit is drawn once more, and kept whole
+    if that draw drops everything too.  The rng is counter-based, so one draw
+    for the batch equals the per-sample draws until a sample needs that
+    resample; from that sample on the draws go one sample at a time.
+    """
+    b, c, h, w = shape
     if block > min(h, w):
         raise ConfigurationError(f"block_size {block} exceeds feature extent {min(h, w)}")
     gamma = _seed_rate(keep_prob, block, h, w)
-    vh, vw = h - block + 1, w - block + 1
-    for _ in range(2):  # degenerate all-dropped draw gets one resample
-        keep = np.ones(shape, dtype=dtype)
-        centers = rng.uniform_array((c, vh, vw)) < gamma
-        for ch, ci, cj in zip(*np.nonzero(centers)):
-            # block spans [ci, ci+block) x [cj, cj+block); fits by construction
-            keep[ch, ci : ci + block, cj : cj + block] = 0.0
-        kept = int(np.count_nonzero(keep))
-        if kept:
-            return keep * dtype.type(keep.size / kept)
-    return np.ones(shape, dtype=dtype)
+    values, kept = _dropblock_draw(gamma, block, shape, rng, dtype)
+    empty = np.flatnonzero(kept == 0)
+    if empty.size:
+        # rewind to the draw of the first empty sample and go on one sample at a time
+        k = int(empty[0])
+        rng.advance(-(b - k) * c * (h - block + 1) * (w - block + 1))
+        for s in range(k, b):
+            for _ in range(2):
+                one, one_kept = _dropblock_draw(gamma, block, (1, c, h, w), rng, dtype)
+                if one_kept[0]:
+                    break
+            values[s] = one[0] if one_kept[0] else 1
+    return values
 
 
 def make_dropout_mask(spec: DropoutSpec, shape: tuple[int, ...], rng: Rng, dtype=np.float32) -> Mask:
     """Draw one mask for an activation of `shape`.
 
-    standard accepts any shape; spatial and dropblock need a per-sample
-    [C, H, W] map.  keep_prob == 1 short-circuits to all-ones without touching
-    the rng, so a disabled spec can never perturb later draws.
+    standard accepts any shape and draws every unit independently.  spatial
+    and dropblock take one sample's [C, H, W] map, or a batch [B, C, H, W]
+    whose mask, and the rng state it leaves, equal B per-sample draws in
+    order.  keep_prob == 1 short-circuits to all-ones without touching the
+    rng, so a disabled spec can never perturb later draws.
     """
     shape = tuple(int(d) for d in shape)
     dt = np.dtype(dtype)
@@ -177,14 +207,15 @@ def make_dropout_mask(spec: DropoutSpec, shape: tuple[int, ...], rng: Rng, dtype
     if spec.kind == "standard":
         u = rng.uniform_array(shape)
         return Mask((u < spec.keep_prob).astype(dt) * dt.type(1.0 / spec.keep_prob))
-    if len(shape) != 3:
-        raise ConfigurationError(f"{spec.kind} dropout needs a [C,H,W] activation, got shape {shape}")
+    if len(shape) not in (3, 4):
+        raise ConfigurationError(f"{spec.kind} dropout needs a [C,H,W] or [B,C,H,W] activation, got shape {shape}")
     if spec.kind == "spatial":
-        keep = rng.uniform_array((shape[0],)) < spec.keep_prob
+        keep = rng.uniform_array(shape[:-2]) < spec.keep_prob
         values = np.zeros(shape, dtype=dt)
         values[keep] = dt.type(1.0 / spec.keep_prob)
         return Mask(values)
-    return Mask(_dropblock_values(spec.keep_prob, spec.block_size, shape, rng, dt))
+    batch = shape if len(shape) == 4 else (1, *shape)
+    return Mask(_dropblock_values(spec.keep_prob, spec.block_size, batch, rng, dt).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +498,9 @@ def forward(
     start - 1, and with `stop` the result is the output of layer stop - 1.
     A spec's masks fire only when mode == "train" and its stage matches
     `stage`; everything else is a pure function of the parameters.  Masks are
-    drawn from `rng` per forward pass, one independent [C,H,W] draw per sample
-    for the spatial kinds.
+    drawn from `rng` per forward pass, one draw per (spec, layer) for the
+    whole batch, which for the spatial kinds equals one [C,H,W] draw per
+    sample in batch order.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ContractError(f"unknown mode {mode!r}")
@@ -486,18 +518,11 @@ def forward(
     if rng is None and any(s.keep_prob < 1.0 for s in active):
         raise ContractError("active dropout specs need an rng")
     net.bind(tape)
-    bsz = x.shape[0]
 
     def inject(tag: str, t: Tensor) -> Tensor:
         for spec in active:
-            if tag not in spec.placements or spec.keep_prob == 1.0:
-                continue
-            if spec.kind == "standard":
-                mask = make_dropout_mask(spec, t.shape, rng, t.dtype)
-            else:
-                per_sample = [make_dropout_mask(spec, t.shape[1:], rng, t.dtype).values for _ in range(bsz)]
-                mask = Mask(np.stack(per_sample))
-            t = mask.apply(t)
+            if tag in spec.placements and spec.keep_prob < 1.0:
+                t = make_dropout_mask(spec, t.shape, rng, t.dtype).apply(t)
         return t
 
     out = x

@@ -9,7 +9,6 @@ a per-feature or per-channel vector over the remaining axes.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 from .tensor import Tape, Tensor
@@ -115,10 +114,29 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _trace("reshape", x.data.reshape(shape), (x,), (lambda g: g.reshape(in_shape),))
 
 
+_UINTS = {np.dtype(t).itemsize: np.dtype(t) for t in (np.uint16, np.uint32, np.uint64)}
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The same memory as unsigned integers of the same width."""
+    return a.view(_UINTS[a.dtype.itemsize])
+
+
+def _bit_mask(flags: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """All ones where `flags`, all zeros elsewhere, as `like`'s unsigned bits.
+
+    `bits & mask` is np.where(flags, a, 0) bit for bit, signed zeros and NaNs
+    included, and many times faster than np.where on a random mask.
+    """
+    return np.negative(flags, dtype=_UINTS[like.dtype.itemsize])
+
+
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); the subgradient at 0 is taken as 0."""
     mask = x.data > 0
-    return _trace("relu", np.where(mask, x.data, 0), (x,), (lambda g: g * mask,))
+    out = np.empty_like(x.data)
+    np.bitwise_and(_bits(x.data), _bit_mask(mask, x.data), out=_bits(out))
+    return _trace("relu", out, (x,), (lambda g: g * mask,))
 
 
 def _as_batched(x: Tensor, min_rank: int):
@@ -149,14 +167,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz * oh * ow, c_in * kh * kw)
+    # im2col: row (b, y, x) of cols holds the window at output (y, x) in (c, i, j)
+    # order, filled by one strided copy per tap from a padded channels-last copy
+    xt = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c_in), dtype=xd.dtype)
+    xt[:, pad : pad + h, pad : pad + w] = xd.transpose(0, 2, 3, 1)
+    cols = np.empty((bsz, oh, ow, c_in, kh, kw), dtype=xd.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[..., i, j] = xt[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    cols = cols.reshape(bsz * oh * ow, c_in * kh * kw)
     kmat = kernel.data.reshape(c_out, -1)
     out = (cols @ kmat.T).reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out)
 
-    padded_shape = xp.shape
+    padded_shape = (bsz, c_in, h + 2 * pad, w + 2 * pad)
     kshape = kernel.shape
 
     def grad_x(g):
@@ -184,17 +208,26 @@ def maxpool2(x: Tensor) -> Tensor:
     bsz, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2 needs even spatial extents, got {h}x{w}")
-    # window flat order (di,dj) = (0,0),(0,1),(1,0),(1,1) is monotone in the
-    # original flat index, so argmax's first-hit rule gives the lowest one
-    win = xd.reshape(bsz, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, h // 2, w // 2, 4)
-    idx = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    # the four quadrants, contiguous, in window order (0,0),(0,1),(1,0),(1,1),
+    # which is monotone in the flat index; a later quadrant wins only when
+    # strictly larger (or NaN over a number), so the first hit wins as with argmax
+    quads = np.ascontiguousarray(xd.reshape(bsz, c, h // 2, 2, w // 2, 2).transpose(3, 5, 0, 1, 2, 4))
+    quads = quads.reshape(4, bsz, c, h // 2, w // 2)
+    out = quads[0].copy()
+    out_bits, quad_bits = _bits(out), _bits(quads)
+    idx = np.zeros(out.shape, dtype=np.uint8)
+    for q in (1, 2, 3):
+        take = ~(quads[q] <= out) & (out == out)
+        out_bits ^= (out_bits ^ quad_bits[q]) & _bit_mask(take, out)  # out = where(take, quads[q], out)
+        np.maximum(idx, take.view(np.uint8) * np.uint8(q), out=idx)  # q only grows: the last take wins
 
     def grad_x(g):
-        gwin = np.zeros((bsz, c, h // 2, w // 2, 4), dtype=g.dtype)
         gb = g[None] if squeeze else g
-        np.put_along_axis(gwin, idx[..., None], gb[..., None], axis=-1)
-        dx = gwin.reshape(bsz, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, h, w)
+        dquads = np.empty((4, bsz, c, h // 2, w // 2), dtype=g.dtype)
+        g_bits, dquad_bits = _bits(gb), _bits(dquads)
+        for q in range(4):
+            np.bitwise_and(g_bits, _bit_mask(idx == q, gb), out=dquad_bits[q])
+        dx = dquads.reshape(2, 2, bsz, c, h // 2, w // 2).transpose(2, 3, 4, 0, 5, 1).reshape(bsz, c, h, w)
         return dx[0] if squeeze else dx
 
     return _trace("maxpool2", out[0] if squeeze else out, (x,), (grad_x,))

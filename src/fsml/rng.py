@@ -55,11 +55,15 @@ class Rng:
         self._state = (self._state + _GAMMA) & _MASK
         return int(_mix(np.uint64(self._state)))
 
+    def advance(self, n: int) -> None:
+        """Move the stream by n draws, as if n were drawn; a negative n rewinds."""
+        self._state = (self._state + n * _GAMMA) & _MASK
+
     def u64_array(self, n: int) -> np.ndarray:
         idx = np.arange(1, n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             states = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        self._state = (self._state + n * _GAMMA) & _MASK
+        self.advance(n)
         return _mix(states)
 
     def uniform(self) -> float:

@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from fsml.checkpoint import dump_params
 from fsml.config import parse_config
@@ -206,6 +207,7 @@ def _c8_build_net(seed):
     return net, partition_params(net, CONV_TAGS)
 
 
+@pytest.mark.slow
 def test_c8_desk_scale_trend(tmp_path):
     t0 = time.perf_counter()
     ds = gen_synthetic(SyntheticSpec(100, 20, image_extent=32, cluster_std=0.1,

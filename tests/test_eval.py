@@ -2,6 +2,8 @@
 
 import csv
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -442,3 +444,20 @@ def test_run_ablation_parallel_equals_serial():
     parallel = run_ablation(grid, assets, seeds=(0,), jobs=2)
     assert [(r.cell, r.seed, r.report) for r in serial] == \
         [(r.cell, r.seed, r.report) for r in parallel]
+
+
+def test_one_blas_thread_sets_bundled_openblas_to_one_thread():
+    # in a child process, so this test process keeps its own thread count
+    script = """
+import ctypes, glob, os
+import numpy as np
+from fsml.evaluate import one_blas_thread
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
+get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_ if libs else None
+one_blas_thread()
+print(get() if get else "none")
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout.split()
+    if out == ["none"]:
+        pytest.skip("numpy does not bundle scipy-openblas here; one_blas_thread is a no-op")
+    assert out == ["1"]

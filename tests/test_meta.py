@@ -1,5 +1,7 @@
 """Meta/task knowledge separation, both training regimes, meta-test adaptation."""
 
+import logging
+import math
 import pickle
 from dataclasses import replace
 
@@ -317,6 +319,33 @@ def test_pretrain_loss_decreases_on_separable_set():
     state = meta_train_pretrain(view, net, part, cfg)
     losses = [e["meta_loss"] for e in state.log]
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+def separable_pretrain(meta_lr):
+    view = gen_synthetic(SyntheticSpec(
+        n_classes=4, samples_per_class=8, image_extent=16, cluster_std=0.1, class_separation=5.0, seed=2))
+    net = build_conv4((8, 8, 8, 8), (1, 16, 16), 4, "cosine", Rng(7))
+    cfg = TrainConfig(meta_lr=meta_lr, meta_epochs=8, batch_size=8, seed=7)
+    return meta_train_pretrain(view, net, partition_params(net, CONV_TAGS), cfg)
+
+
+def test_plateau_is_named_in_one_warning(caplog):
+    # TrainConfig refuses a zero rate; at 1e-12 no parameter moves a bit
+    with caplog.at_level(logging.WARNING, logger="fsml"):
+        state = separable_pretrain(1e-12)
+    records = [r for r in caplog.records if r.name == "fsml"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    message = records[0].getMessage()
+    assert "seed 7" in message and f"{state.log[-1]['meta_loss']:.4f}" in message and "ln 4" in message
+    assert state.log[-1]["meta_loss"] >= math.log(4)
+    assert all(set(entry) == {"epoch", "meta_loss", "task_loss", "wall_ms"} for entry in state.log)
+
+
+def test_learning_run_logs_no_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="fsml"):
+        state = separable_pretrain(0.05)
+    assert state.log[-1]["meta_loss"] < math.log(4)
+    assert not [r for r in caplog.records if r.name == "fsml"]
 
 
 def test_pretrain_batch_size_guard():
