@@ -6,8 +6,10 @@ Layout (all integers little-endian):
     then per parameter:
     id_len u16 | id bytes (utf-8) | rank u8 | extents u32 * rank | f32 data
 
-Data is always written as float32 regardless of the in-memory dtype; training
-runs in float32 anyway and verification paths rebuild their own values.
+Data is float32, as training runs in float32.  `dump_params` refuses an
+array of any other dtype rather than round it, so a float64 network never
+silently loses precision through a checkpoint; verification paths that run
+in float64 rebuild their own values.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ def dump_params(params: dict[str, np.ndarray]) -> bytes:
         if len(ident) > 0xFFFF:
             raise CheckpointError(f"parameter id too long: {pid!r}")
         arr = np.asarray(arr)
+        if arr.dtype != np.float32:
+            raise CheckpointError(f"parameter {pid!r} is {arr.dtype}; checkpoints hold float32 only")
         chunks.append(struct.pack("<H", len(ident)))
         chunks.append(ident)
         chunks.append(struct.pack("<B", arr.ndim))

@@ -13,15 +13,15 @@ Accuracy is reported as mean over episodes with a 95% confidence halfwidth,
 from __future__ import annotations
 
 import csv
-import ctypes
-import glob
 import json
-import os
+import logging
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ops
 from .data import Dataset, EpisodeSpec, sample_episode
 from .errors import ContractError
 from .meta import (
@@ -34,6 +34,8 @@ from .meta import (
 )
 from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
 from .rng import Rng
+
+log = logging.getLogger("fsml")
 
 
 def ci95(values: np.ndarray) -> tuple[float, float]:
@@ -111,27 +113,9 @@ def _episode_accuracy(index: int, state: KnowledgeState, view: Dataset, espec: E
 _POOL_ARGS: tuple = ()
 
 
-def one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread; a no-op for any other BLAS.
-
-    fsml's GEMMs are small, so a second BLAS thread per process buys little
-    and oversubscribes the cores when processes run side by side.  The thread
-    count changes no result byte.
-    """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
-    for path in glob.glob(libs):
-        try:
-            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
-
-
 def _pool_init(*args) -> None:
     global _POOL_ARGS
-    one_blas_thread()
+    ops.set_blas_threads(1)
     _POOL_ARGS = args
 
 
@@ -139,6 +123,7 @@ def _pool_episode(index: int) -> float:
     return _episode_accuracy(index, *_POOL_ARGS)
 
 
+@ops.one_blas_thread()
 def evaluate_fewshot(
     state: KnowledgeState,
     novel_view: Dataset,
@@ -303,8 +288,21 @@ def run_ablation(grid: AblationGrid, assets: AblationAssets, seeds, jobs: int = 
     work = [(cell, seed) for cell in grid.cells() for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(assets,)) as pool:
-            return list(pool.map(_pool_ablation_item, work))
-    return [_run_ablation_item(item, assets) for item in work]
+            return _logged_rows(pool.map(_pool_ablation_item, work), len(work))
+    return _logged_rows((_run_ablation_item(item, assets) for item in work), len(work))
+
+
+def _logged_rows(rows, total: int) -> list[AblationRow]:
+    """Collect `rows` in order, logging each as it completes with the elapsed time and an ETA."""
+    started = time.monotonic()
+    out = []
+    for i, row in enumerate(rows, 1):
+        out.append(row)
+        elapsed = time.monotonic() - started
+        cell = row.cell
+        log.info("cell %d/%d (%s, %s, %s, seed %d), elapsed %.1fs, ETA %.1fs",
+                 i, total, cell.regime, cell.arm, cell.kind, row.seed, elapsed, elapsed / i * (total - i))
+    return out
 
 
 def _pool_ablation_item(item) -> AblationRow:

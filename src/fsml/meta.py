@@ -304,6 +304,7 @@ def analytic_meta_gradient(
     return backward(tape, loss), loss.item()
 
 
+@ops.one_blas_thread()
 def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, tasks) -> KnowledgeState:
     """The meta-training loop; `tasks()` yields the (support, query) pairs of one meta-epoch.
 
@@ -427,6 +428,7 @@ def meta_train(
     raise ContractError(f"unknown regime {regime!r}")
 
 
+@ops.one_blas_thread()
 def meta_test(state: KnowledgeState, support: Batch, cfg: MetaTestConfig, rng: Rng) -> KnowledgeState:
     """Adapt a trained state to one novel task; returns a new state.
 

@@ -8,6 +8,12 @@ a per-feature or per-channel vector over the remaining axes.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
 
 from .errors import DimensionError
@@ -38,11 +44,13 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _trace(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...], grad_fns) -> Tensor:
+def _trace(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...], grad_fns, prepare=None) -> Tensor:
     """Wrap `out_data`, recording a node if any parent is on a tape.
 
     grad_fns[i] maps the output gradient to parent i's gradient; None marks a
-    parent treated as a constant (e.g. dropout masks, targets).
+    parent treated as a constant (e.g. dropout masks, targets).  With
+    `prepare`, every grad_fn receives prepare(g) in place of g, made once per
+    backward of the node and dropped after it.
     """
     tape = _tape_of(*parents)
     if tape is None:
@@ -52,10 +60,55 @@ def _trace(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...], grad_fns)
     fns = [fn for _, fn in tracked]
 
     def node_backward(g):
+        if prepare is not None:
+            g = prepare(g)
         return [fn(g) for fn in fns]
 
     nid = tape.record(op, input_ids, node_backward)
     return Tensor._result(out_data, tape, nid)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count; None for any other BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def set_blas_threads(n: int) -> int:
+    """Run the bundled OpenBLAS on `n` threads; returns the count before, or `n` for any other BLAS."""
+    blas = _openblas_threads()
+    if blas is None:
+        return n
+    before = blas[0]()
+    if before != n:
+        blas[1](n)
+    return before
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block, then restore the caller's count.
+
+    fsml's GEMMs are small, so a second BLAS thread buys little and burns a
+    second core, or oversubscribes the cores when processes run side by
+    side.  The thread count changes no result byte.  A no-op for any other
+    BLAS; also usable as a decorator.
+    """
+    before = set_blas_threads(1)
+    try:
+        yield
+    finally:
+        set_blas_threads(before)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -180,26 +233,27 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     out = (cols @ kmat.T).reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out)
 
-    padded_shape = (bsz, c_in, h + 2 * pad, w + 2 * pad)
     kshape = kernel.shape
 
-    def grad_x(g):
+    def out_grad_rows(g):
+        # the [B*oh*ow, c_out] matrix of the output gradient, shared by both gradients
         gb = g[None] if squeeze else g
-        gm = gb.transpose(0, 2, 3, 1).reshape(bsz * oh * ow, c_out)
-        dcols = (gm @ kmat).reshape(bsz, oh, ow, c_in, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros(padded_shape, dtype=g.dtype)
+        return gb.transpose(0, 2, 3, 1).reshape(bsz * oh * ow, c_out)
+
+    def grad_x(gm):
+        # col2im: add the taps in (i, j) order into a padded channels-last buffer
+        dcols = (gm @ kmat).reshape(bsz, oh, ow, c_in, kh, kw)
+        dxt = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c_in), dtype=gm.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, :, :, i, j]
-        dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+                dxt[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[..., i, j]
+        dx = np.ascontiguousarray(dxt[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2))
         return dx[0] if squeeze else dx
 
-    def grad_k(g):
-        gb = g[None] if squeeze else g
-        gm = gb.transpose(0, 2, 3, 1).reshape(bsz * oh * ow, c_out)
+    def grad_k(gm):
         return (gm.T @ cols).reshape(kshape)
 
-    return _trace("conv2d", out[0] if squeeze else out, (x, kernel), (grad_x, grad_k))
+    return _trace("conv2d", out[0] if squeeze else out, (x, kernel), (grad_x, grad_k), out_grad_rows)
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -223,11 +277,12 @@ def maxpool2(x: Tensor) -> Tensor:
 
     def grad_x(g):
         gb = g[None] if squeeze else g
-        dquads = np.empty((4, bsz, c, h // 2, w // 2), dtype=g.dtype)
-        g_bits, dquad_bits = _bits(gb), _bits(dquads)
+        dx = np.empty((bsz, c, h, w), dtype=g.dtype)
+        # each quadrant's gradient goes straight to its strided view of dx
+        dx_quads = _bits(dx).reshape(bsz, c, h // 2, 2, w // 2, 2)
+        g_bits = _bits(gb)
         for q in range(4):
-            np.bitwise_and(g_bits, _bit_mask(idx == q, gb), out=dquad_bits[q])
-        dx = dquads.reshape(2, 2, bsz, c, h // 2, w // 2).transpose(2, 3, 4, 0, 5, 1).reshape(bsz, c, h, w)
+            np.bitwise_and(g_bits, _bit_mask(idx == q, gb), out=dx_quads[:, :, :, q // 2, :, q % 2])
         return dx[0] if squeeze else dx
 
     return _trace("maxpool2", out[0] if squeeze else out, (x,), (grad_x,))

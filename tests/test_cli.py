@@ -2,16 +2,20 @@
 
 import csv
 import json
+import logging
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from fsml import cli
+from fsml.checkpoint import dump_params
 from fsml.cli import main
 from fsml.config import config_hash, load_config, parse_config
-from fsml.errors import ConfigurationError
+from fsml.errors import CheckpointError, ConfigurationError
 
 
 def base_config(out=None, **overrides):
@@ -316,6 +320,30 @@ def test_ablate_writes_csv(tmp_path, capsys):
     assert arms == {"none", "M", "D", "M&D"}
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablate_logs_progress_and_writes_the_same_csv(tmp_path, caplog, monkeypatch, jobs):
+    if int(jobs) > (os.cpu_count() or 1):
+        pytest.skip("needs two CPUs")
+    csvs = {}
+    for level in ("info", "error"):
+        raw = base_config(out=tmp_path / level)
+        raw["ablation"] = {"arms": ["none", "M"], "kinds": ["standard"], "batch_sizes": [8]}
+        monkeypatch.setenv("FSML_LOG", level)
+        caplog.clear()
+        caplog.set_level(getattr(logging, level.upper()), logger="fsml")
+        assert main(["ablate", "--config", write_config(tmp_path, raw), "--jobs", jobs]) == 0
+        csvs[level] = (tmp_path / level / "ablation.csv").read_bytes()
+        progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cell ")]
+        if level == "info":
+            assert len(progress) == 2
+            for i, (arm, line) in enumerate(zip(("none", "M"), progress), 1):
+                assert re.fullmatch(rf"cell {i}/2 \(pretrain_finetune, {re.escape(arm)}, standard, seed 0\), "
+                                    rf"elapsed \d+\.\ds, ETA \d+\.\ds", line), line
+        else:
+            assert progress == []
+    assert csvs["info"] == csvs["error"]
+
+
 @pytest.mark.parametrize("top_regime", ["pretrain_finetune", "episodic"])
 def test_ablate_sizes_each_head_from_the_cell_regime(tmp_path, capsys, monkeypatch, top_regime):
     from fsml import evaluate
@@ -377,6 +405,30 @@ def test_invalid_log_level_rejected(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, base_config(out=tmp_path / "o"))
     assert main(["train", "--config", cfg_path]) == 2
     assert "FSML_LOG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [None, "error"])
+def test_plateau_warning_shows_at_the_default_log_level(tmp_path, level):
+    raw = base_config(out=tmp_path / "o")
+    raw["train"]["meta_lr"] = 1e-12  # nothing is learned: the loss stays above ln(6)
+    env = {k: v for k, v in os.environ.items() if k != "FSML_LOG"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if level is not None:
+        env["FSML_LOG"] = level
+    result = subprocess.run([sys.executable, "-m", "fsml.cli", "train", "--config", write_config(tmp_path, raw)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0
+    shown = "WARNING fsml: seed 0: last epoch's meta_loss" in result.stderr
+    assert shown == (level is None), result.stderr
+
+
+def test_checkpoint_refuses_non_float32():
+    params = {"conv1.weight": np.zeros((2, 1, 3, 3), dtype=np.float32),
+              "head.weight": np.zeros((4, 2), dtype=np.float64)}
+    with pytest.raises(CheckpointError, match=r"'head.weight' is float64"):
+        dump_params(params)
+    params["head.weight"] = params["head.weight"].astype(np.float32)
+    assert dump_params(params)
 
 
 def test_dataset_file_roundtrip_through_cli(tmp_path, capsys):

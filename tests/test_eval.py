@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -447,17 +448,56 @@ def test_run_ablation_parallel_equals_serial():
 
 
 def test_one_blas_thread_sets_bundled_openblas_to_one_thread():
-    # in a child process, so this test process keeps its own thread count
+    # in a child process that starts at 2 threads, so this test process keeps its own count
     script = """
 import ctypes, glob, os
 import numpy as np
-from fsml.evaluate import one_blas_thread
 libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
-get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_ if libs else None
-one_blas_thread()
-print(get() if get else "none")
+if not libs:
+    print("none")
+    raise SystemExit
+lib = ctypes.CDLL(libs[0])
+get = lib.scipy_openblas_get_num_threads64_
+lib.scipy_openblas_set_num_threads64_(2)
+import fsml
+from fsml import evaluate, meta, ops
+print("import", get())
+with ops.one_blas_thread():
+    print("scoped", get())
+print("after-scope", get())
+ds = fsml.gen_synthetic(fsml.SyntheticSpec(n_classes=4, samples_per_class=4, image_extent=16,
+                                           cluster_std=0.05, class_separation=2.0, seed=1))
+forward = meta.forward
+def spy(*args, **kwargs):
+    print("inside", get())
+    if fail:
+        raise RuntimeError("raised inside the call")
+    return forward(*args, **kwargs)
+meta.forward = evaluate.forward = spy
+fail = False
+net = fsml.build_conv4((2, 2, 2, 2), (1, 16, 16), 4, "cosine", fsml.Rng(0))
+partition = fsml.partition_params(net, ("conv1", "conv2", "conv3", "conv4"))
+state = fsml.meta_train_pretrain(ds, net, partition, fsml.TrainConfig(meta_lr=0.05, batch_size=16))
+print("after pretrain", get())
+mcfg = fsml.MetaTestConfig(finetune_steps=1)
+espec = fsml.EpisodeSpec(C=2, K=1, Q_query=2)
+fsml.meta_test(state, fsml.sample_episode(ds, espec, fsml.Rng(1)).support, mcfg, fsml.Rng(2))
+print("after meta_test", get())
+fsml.evaluate_fewshot(state, ds, espec, mcfg, n_episodes=2)
+print("after evaluate_fewshot", get())
+fail = True
+try:
+    fsml.meta_train_pretrain(ds, net, partition, fsml.TrainConfig(meta_lr=0.05, batch_size=16))
+except RuntimeError:
+    print("after raising pretrain", get())
 """
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout.split()
-    if out == ["none"]:
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ops.__file__))}
+    lines = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env=env).stdout.splitlines()
+    if lines == ["none"]:
         pytest.skip("numpy does not bundle scipy-openblas here; one_blas_thread is a no-op")
-    assert out == ["1"]
+    inside = [line for line in lines if line.startswith("inside")]
+    assert len(inside) > 4 and set(inside) == {"inside 1"}
+    assert [line for line in lines if not line.startswith("inside")] == [
+        "import 2", "scoped 1", "after-scope 2", "after pretrain 2", "after meta_test 2",
+        "after evaluate_fewshot 2", "after raising pretrain 2"]

@@ -1,10 +1,12 @@
 """Bitwise guards for the training fast paths.
 
-Each fast path (one mask draw per batch, quadrant maxpool, slice-copy
-im2col, bit-masked relu) must give the bytes of the straightforward code it
-replaced, which is kept here as the reference: per-sample mask draws with a
-loop over block centres, argmax pooling over a reshaped window, im2col from
-a sliding-window view, and np.where.
+Each fast path (one mask draw per batch, quadrant maxpool and its backward
+into strided views, slice-copy im2col, channels-last col2im, bit-masked
+relu) must give the bytes of the straightforward code it replaced, which is
+kept here as the reference: per-sample mask draws with a loop over block
+centres, argmax pooling over a reshaped window, a backward through a
+(4, ...) quadrant buffer and one transposed copy, im2col from a
+sliding-window view, col2im over the transposed NCHW taps, and np.where.
 """
 
 import numpy as np
@@ -189,8 +191,42 @@ def test_maxpool2_takes_the_first_nan_like_argmax():
     assert out.data.tobytes() == want.tobytes()
 
 
+def reference_maxpool2_backward(xd, g):
+    """The input gradient of a batched 2x2 max pool through a (4, ...) quadrant buffer and one transposed copy."""
+    bsz, c, h, w = xd.shape
+    win = xd.reshape(bsz, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, h // 2, w // 2, 4)
+    idx = np.argmax(win, axis=-1)
+    dquads = np.empty((4, bsz, c, h // 2, w // 2), dtype=g.dtype)
+    for q in range(4):
+        dquads[q] = np.where(idx == q, g, 0)
+    return dquads.reshape(2, 2, bsz, c, h // 2, w // 2).transpose(2, 3, 4, 0, 5, 1).reshape(bsz, c, h, w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool2_backward_equals_quadrant_buffer(dtype):
+    rng = np.random.default_rng(14)
+    for shape in ((1, 1, 2, 2), (5, 4, 8, 6), (32, 4, 32, 32)):
+        x = rng.integers(-1, 2, size=shape).astype(dtype)  # ties within most windows
+        zeros = x == 0
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)  # +0.0 and -0.0 tie
+        x[rng.random(shape) < 0.1] = np.nan  # NaN wins over a number, the first NaN over a later one
+        g = rng.standard_normal((*shape[:2], shape[2] // 2, shape[3] // 2)).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[rng.random(g.shape) < 0.05] = np.nan
+        t = Tensor._result(x, None, None)  # Tensor() refuses NaN
+        Tape().watch("x", t)
+        (dx,) = node_grads(ops.maxpool2(t), g)
+        want = reference_maxpool2_backward(x, g)
+        assert dx.dtype == want.dtype and dx.shape == want.shape
+        assert dx.tobytes() == want.tobytes(), shape
+
+
 def reference_conv2d(xd, kd, stride, pad, g):
-    """Forward and both gradients of a batched conv, im2col from a sliding-window view."""
+    """Forward and both gradients of a batched conv.
+
+    im2col from a sliding-window view; col2im adds the transposed NCHW taps
+    of dcols into a padded NCHW buffer.
+    """
     bsz, c_in, h, w = xd.shape
     c_out, _, kh, kw = kd.shape
     oh = (h + 2 * pad - kh) // stride + 1
@@ -240,3 +276,20 @@ def test_relu_equals_where():
     out = ops.relu(Tensor._result(x, None, None))
     want = np.where(x > 0, x, 0)
     assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("c_in", [1, 8])
+@pytest.mark.parametrize("bsz", [1, 5, 32])
+def test_conv2d_backward_equals_nchw_col2im(stride, pad, c_in, bsz):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((bsz, c_in, 10, 9)).astype(np.float32)
+    k = rng.standard_normal((8, c_in, 3, 3)).astype(np.float32)
+    xt, kt = watched(x, k)
+    out = ops.conv2d(xt, kt, stride=stride, pad=pad)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    dx, dk = node_grads(out, g)
+    _, want_dx, want_dk = reference_conv2d(x, k, stride, pad, g)
+    assert dx.shape == want_dx.shape and dx.tobytes() == want_dx.tobytes()
+    assert dk.shape == want_dk.shape and dk.tobytes() == want_dk.tobytes()
