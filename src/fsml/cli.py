@@ -11,6 +11,7 @@ training loss never left the uniform-guess plateau.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -145,6 +146,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _build_net(factories: dict, regime: str, seed: int):
+    """The network of `regime`'s factory for `seed`; module-level so that ablation workers can unpickle it."""
+    return factories[regime](seed)
+
+
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(cfg, args)
@@ -158,23 +164,20 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError("ablation includes a 'D' arm but config.meta_test.task_dropout is not set")
     ds = cfg.source.load()
     base_view, _, novel_view = cfg.views(ds)
-    rows = []
-    # one sub-grid per regime, each with a head sized for that regime; the
-    # regime is the outermost axis of grid.cells(), so row order is unchanged
-    for regime in grid.regimes:
-        assets = AblationAssets(
-            base_view=base_view,
-            novel_view=novel_view,
-            build_net=cfg.network_factory(ds, regime),
-            train_cfg=cfg.train,
-            mtest_cfg=cfg.meta_test,
-            espec=cfg.episode,
-            n_episodes=cfg.n_eval_episodes,
-            meta_dropout_template=cfg.train.meta_dropout,
-            task_dropout=cfg.meta_test.task_dropout,
-            config_hash=cfg.config_hash,
-        )
-        rows += run_ablation(replace(grid, regimes=(regime,)), assets, _seeds(cfg, args), jobs=args.jobs)
+    assets = AblationAssets(
+        base_view=base_view,
+        novel_view=novel_view,
+        # each cell's head is sized for the cell's own regime
+        build_net=functools.partial(_build_net, {regime: cfg.network_factory(ds, regime) for regime in grid.regimes}),
+        train_cfg=cfg.train,
+        mtest_cfg=cfg.meta_test,
+        espec=cfg.episode,
+        n_episodes=cfg.n_eval_episodes,
+        meta_dropout_template=cfg.train.meta_dropout,
+        task_dropout=cfg.meta_test.task_dropout,
+        config_hash=cfg.config_hash,
+    )
+    rows = run_ablation(grid, assets, _seeds(cfg, args), jobs=args.jobs)
     csv_path = out / "ablation.csv"
     _atomic_write(csv_path, lambda tmp: write_ablation_csv(rows, tmp))
     failed = [r for r in rows if r.report is None]

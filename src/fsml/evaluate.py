@@ -30,7 +30,9 @@ from .meta import (
     TrainConfig,
     meta_test,
     meta_test_prefix,
+    meta_test_stacked,
     meta_train,
+    stackable,
 )
 from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
 from .rng import Rng
@@ -98,15 +100,48 @@ def _embed(net: Network, images: np.ndarray, cut: int, chunk: int) -> np.ndarray
     return np.concatenate(parts)[:n]
 
 
+def _episode_rng(seed: int, index: int) -> Rng:
+    """The stream episode `index` of an evaluation samples and adapts from."""
+    return Rng(seed).derive(f"eval-episode-{index}")
+
+
+def _accuracy(logits: np.ndarray, query_y: np.ndarray) -> float:
+    """The fraction of one episode's query rows whose largest logit is at their label."""
+    return float((np.argmax(logits, axis=1) == query_y).mean())
+
+
 def _episode_accuracy(index: int, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
                       mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> float:
     """Adapt on episode `index` and classify its query rows of `feats`, from layer `cut` on."""
-    ep_rng = Rng(seed).derive(f"eval-episode-{index}")
+    ep_rng = _episode_rng(seed, index)
     episode = sample_episode(view, espec, ep_rng.derive("sample"))
     adapted = meta_test(state, episode.support, mcfg, ep_rng)
     logits = forward(adapted.network, feats[episode.query_idx], MODE_EVAL, STAGE_META_TESTING, start=cut)
-    predicted = np.argmax(logits.data, axis=1)
-    return float((predicted == episode.query.y).mean())
+    return _accuracy(logits.data, episode.query.y)
+
+
+# episodes adapted in one stack: enough to spread each step's Python cost
+# thin, few enough to bound the stacked arrays whatever n_episodes is
+_STACK = 100
+
+
+def _stacked_accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
+                        mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> list[float]:
+    """The accuracies of episodes `indices` from one stacked adaptation and one stacked head forward."""
+    rngs = [_episode_rng(seed, i) for i in indices]
+    queries = []  # (query rows of feats, query labels) per episode
+
+    def supports():
+        # one episode at a time, so that only its support set outlives the sampling
+        for rng in rngs:
+            episode = sample_episode(view, espec, rng.derive("sample"))
+            queries.append((episode.query_idx, episode.query.y))
+            yield episode.support
+
+    adapted = meta_test_stacked(state, supports(), mcfg, rngs)
+    rows = np.concatenate([feats[idx] for idx, _ in queries])
+    logits = forward(adapted.network, rows, MODE_EVAL, STAGE_META_TESTING, start=cut).data
+    return [_accuracy(episode_logits, y) for episode_logits, (_, y) in zip(logits, queries)]
 
 
 # the arguments every task of a pool worker shares, sent once per worker
@@ -141,9 +176,16 @@ def evaluate_fewshot(
     those features; the result is bitwise that of full query forwards.  When
     the episodes read fewer query images than the view holds, embedding it
     would cost more than it saves, so each query runs the whole network.
-    Results are merged by episode index, so jobs > 1 is bit-identical to a
-    serial run.  Per-episode accuracies are accumulated in float64 and the
-    mean is computed once.
+
+    With that cache, and when meta_test adapts only the head with nothing
+    but parameter-free layers before it (`stackable`), the episodes adapt
+    in stacks of up to 100 (`meta_test_stacked`), each classified by one
+    stacked head forward, with the bytes of per-episode meta_test.
+    Otherwise each episode runs meta_test on its own, in `jobs` worker
+    processes when jobs > 1; the stacked path ignores `jobs`.  Results are
+    merged by episode index, so jobs > 1 is bit-identical to a serial run.
+    Per-episode accuracies are accumulated in float64 and the mean is
+    computed once.
     """
     if n_episodes < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -151,7 +193,10 @@ def evaluate_fewshot(
     images = novel_view.images
     feats = _embed(state.network, images, cut, espec.C * espec.Q_query) if cut else images
     args = (state, novel_view, espec, mcfg, seed, feats, cut)
-    if jobs > 1:
+    if cut and stackable(state, mcfg):
+        accs = [acc for first in range(0, n_episodes, _STACK)
+                for acc in _stacked_accuracies(range(first, min(first + _STACK, n_episodes)), *args)]
+    elif jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=args) as pool:
             accs = list(pool.map(_pool_episode, range(n_episodes), chunksize=max(1, n_episodes // (4 * jobs))))
     else:
@@ -232,7 +277,7 @@ class AblationAssets:
 
     base_view: Dataset
     novel_view: Dataset
-    build_net: object  # callable (seed) -> (Network, ParamPartition)
+    build_net: object  # callable (regime, seed) -> (Network, ParamPartition)
     train_cfg: TrainConfig
     mtest_cfg: MetaTestConfig
     espec: EpisodeSpec
@@ -269,7 +314,7 @@ def _cell_specs(cell: AblationCell, assets: AblationAssets) -> tuple[DropoutSpec
 def run_cell(cell: AblationCell, assets: AblationAssets, seed: int) -> EvalReport:
     """Train one configuration from scratch and evaluate it."""
     meta_spec, task_spec = _cell_specs(cell, assets)
-    net, partition = assets.build_net(seed)
+    net, partition = assets.build_net(cell.regime, seed)
     cfg = replace(assets.train_cfg, seed=seed, batch_size=cell.batch_size, meta_dropout=meta_spec)
     state = meta_train(cell.regime, assets.base_view, assets.espec, net, partition, cfg)
     mcfg = replace(assets.mtest_cfg, task_dropout=task_spec)

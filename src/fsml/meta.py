@@ -229,6 +229,48 @@ def _frozen_prefix(net: Network, param_ids, stage: str, specs) -> int:
     return len(net.layers) - 1
 
 
+def _adapt_cut(net: Network, param_ids, stage: str, specs) -> tuple[int, bool]:
+    """Where the part of an adaptation forward that is the same on every pass ends: (k, at_mask).
+
+    k is `_frozen_prefix`.  When layer k ends the prefix by its mask alone,
+    at_mask is True: its part before the mask (for a conv block: conv, bias
+    and relu) is the same on every pass too.
+    """
+    k = _frozen_prefix(net, param_ids, stage, specs)
+    return k, k < len(net.layers) - 1 and not set(param_ids) & net.layers[k].params().keys()
+
+
+def _to_cut(net: Network, images: np.ndarray, stage: str, specs, rng, cut: tuple[int, bool]) -> Tensor:
+    """The part of an adaptation forward before `cut` (`_adapt_cut`) on `images`, off the tape; it draws no mask."""
+    k, at_mask = cut
+    if not (k or at_mask):
+        return Tensor(images)
+    return forward(net, images, MODE_TRAIN, stage, specs, rng, stop=k, stop_at_mask=at_mask)
+
+
+def _descend(state: KnowledgeState, x: Tensor, y: np.ndarray, cut: tuple[int, bool], steps: int, lr: float,
+             stage: str, specs, rng, param_ids) -> list[float]:
+    """`steps` rounds of forward / backward / update on `param_ids`, from `x`, the output up to `cut`, on.
+
+    With a head that holds E heads, `x` is E episodes' rows in order, `y` is
+    [E, B] and `rng` one rng per episode: one tape runs all E episodes.
+    """
+    net = state.network
+    opt = Sgd(param_ids, lr)
+    k, at_mask = cut
+    losses = []
+    for _ in range(steps):
+        tape = Tape()
+        logits = forward(net, x, MODE_TRAIN, stage, specs, rng, tape, start=k, start_at_mask=at_mask)
+        loss = _adapt_loss(state, logits, y)
+        grads = backward(tape, loss)
+        live = {pid: t.data for pid, t in net.params().items()}
+        opt.step(live, grads)
+        losses.append(loss.item())
+    net.bind(None)
+    return losses
+
+
 def _sgd_passes(
     state: KnowledgeState,
     batch: Batch,
@@ -241,27 +283,16 @@ def _sgd_passes(
 ) -> list[float]:
     """`steps` rounds of forward / backward / update on `param_ids` only.
 
-    The frozen prefix runs once, off the tape; each pass runs the rest.  The
-    prefix draws no mask, so the passes see the same values and the same
-    random stream as full forwards would.
+    The frozen prefix, and the next layer up to its mask when that mask ends
+    the prefix, runs once, off the tape; each pass runs the rest.  That part
+    draws no mask, so the passes see the same values and the same random
+    stream as full forwards would.
     """
     if steps == 0:
         return []
-    net = state.network
-    opt = Sgd(param_ids, lr)
-    k = _frozen_prefix(net, param_ids, stage, specs)
-    x = forward(net, batch.x, MODE_TRAIN, stage, specs, rng, stop=k) if k else batch.x
-    losses = []
-    for _ in range(steps):
-        tape = Tape()
-        logits = forward(net, x, MODE_TRAIN, stage, specs, rng, tape, start=k)
-        loss = _adapt_loss(state, logits, batch.y)
-        grads = backward(tape, loss)
-        live = {pid: t.data for pid, t in net.params().items()}
-        opt.step(live, grads)
-        losses.append(loss.item())
-    net.bind(None)
-    return losses
+    cut = _adapt_cut(state.network, param_ids, stage, specs)
+    x = _to_cut(state.network, batch.x, stage, specs, rng, cut)
+    return _descend(state, x, batch.y, cut, steps, lr, stage, specs, rng, param_ids)
 
 
 def inner_adapt(
@@ -305,8 +336,8 @@ def analytic_meta_gradient(
 
 
 @ops.one_blas_thread()
-def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, tasks) -> KnowledgeState:
-    """The meta-training loop; `tasks()` yields the (support, query) pairs of one meta-epoch.
+def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, regime: str, tasks) -> KnowledgeState:
+    """The meta-training loop of `regime`; `tasks()` yields the (support, query) pairs of one meta-epoch.
 
     The task head restarts every task from a persistent prototype and adapts
     on the support set; the first-order meta-gradient of the query loss then
@@ -348,9 +379,14 @@ def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, tasks
         })
     # ln(classes) is the cross-entropy of a uniform guess: a run still there has not learned
     if cfg.loss == "cross_entropy" and state.log and state.log[-1]["meta_loss"] >= math.log(net.n_classes):
+        spec = cfg.meta_dropout
+        dropout = "no meta-dropout" if spec is None else \
+            f"meta-dropout {spec.kind} on {'&'.join(sorted(spec.placements))}"
         log.warning(
-            "seed %d: last epoch's meta_loss %.4f is still at or above ln %d = %.4f, the loss of a uniform guess",
+            "seed %d: last epoch's meta_loss %.4f is still at or above ln %d = %.4f, the loss of a uniform guess "
+            "(%s, batch %d, %s)",
             cfg.seed, state.log[-1]["meta_loss"], net.n_classes, math.log(net.n_classes),
+            regime, cfg.batch_size, dropout,
         )
     net.load_values(prototype)
     net.bind(None)
@@ -371,7 +407,7 @@ def meta_train_episodic(
         for _ in range(cfg.M):
             yield dist.sample(data_rng)
 
-    return _meta_train(net, partition, cfg, episodes)
+    return _meta_train(net, partition, cfg, "episodic", episodes)
 
 
 def meta_train_pretrain(
@@ -406,7 +442,7 @@ def meta_train_pretrain(
             batch = Batch(train_view.images[idx], train_view.labels[idx])
             yield batch, batch
 
-    return _meta_train(net, partition, replace(cfg, inner_steps=0), batches)
+    return _meta_train(net, partition, replace(cfg, inner_steps=0), "pretrain_finetune", batches)
 
 
 REGIMES = ("episodic", "pretrain_finetune")
@@ -428,6 +464,23 @@ def meta_train(
     raise ContractError(f"unknown regime {regime!r}")
 
 
+def _n_way(support: Batch) -> int:
+    """The class count of a support set whose labels cover 0..n-1, n >= 2."""
+    if len(support.x) == 0:
+        raise ContractError("support set is empty")
+    labels = np.asarray(support.y, dtype=np.int64)
+    n_way = int(labels.max()) + 1 if labels.size else 0
+    present = set(int(v) for v in labels)
+    missing = sorted(set(range(n_way)) - present)
+    if missing or n_way < 2:
+        raise ContractError(f"support must cover classes 0..{max(n_way - 1, 1)}, missing {missing}")
+    return n_way
+
+
+def _test_specs(state: KnowledgeState, cfg: MetaTestConfig) -> tuple[DropoutSpec, ...]:
+    return state.specs() + ((cfg.task_dropout,) if cfg.task_dropout is not None else ())
+
+
 @ops.one_blas_thread()
 def meta_test(state: KnowledgeState, support: Batch, cfg: MetaTestConfig, rng: Rng) -> KnowledgeState:
     """Adapt a trained state to one novel task; returns a new state.
@@ -437,25 +490,68 @@ def meta_test(state: KnowledgeState, support: Batch, cfg: MetaTestConfig, rng: R
     intact.  Meta-dropout never fires here (wrong stage); cfg.task_dropout is
     the ordinary-dropout knob for the adaptation forwards.
     """
-    if len(support.x) == 0:
-        raise ContractError("support set is empty")
-    labels = np.asarray(support.y, dtype=np.int64)
-    n_way = int(labels.max()) + 1 if labels.size else 0
-    present = set(int(v) for v in labels)
-    missing = sorted(set(range(n_way)) - present)
-    if missing or n_way < 2:
-        raise ContractError(f"support must cover classes 0..{max(n_way - 1, 1)}, missing {missing}")
-
+    n_way = _n_way(support)
     adapted = state.clone()
     adapted.network.reshape_head(n_way, rng.derive("head-init"))
     adapted.snapshot()
-    specs = adapted.specs() + ((cfg.task_dropout,) if cfg.task_dropout is not None else ())
+    specs = _test_specs(adapted, cfg)
     validate_specs(adapted.network, specs)
     if cfg.finetune_steps > 0:
         _sgd_passes(
             adapted, support, cfg.finetune_steps, cfg.finetune_lr, STAGE_META_TESTING,
             specs, rng.derive("adapt-masks"), _adapted_ids(adapted.partition, cfg),
         )
+    adapted.snapshot()
+    return adapted
+
+
+def stackable(state: KnowledgeState, cfg: MetaTestConfig) -> bool:
+    """Whether meta_test's passes run only the head and parameter-free layers.
+
+    Then the passes of many episodes can share one stacked forward
+    (`meta_test_stacked`): everything they run before the head works row by
+    row, and the head keeps one slice per episode.  That needs freeze_meta
+    and a partition whose task knowledge is the head alone.
+    """
+    net = state.network
+    k, at_mask = _adapt_cut(net, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
+    return not any(layer.params() for layer in net.layers[k + 1 if at_mask else k : -1])
+
+
+@ops.one_blas_thread()
+def meta_test_stacked(state: KnowledgeState, supports, cfg: MetaTestConfig, rngs) -> KnowledgeState:
+    """meta_test on E episodes at once; returns one state whose head holds E heads.
+
+    Needs `stackable(state, cfg)`.  Head slice e is bitwise the head of
+    meta_test(state, supports[e], cfg, rngs[e]): each episode draws its head
+    init and its masks from its own streams, and its support forward up to
+    the frozen prefix's end runs on its own, so every GEMM there keeps its
+    row count.  Only the passes from there on, and the head, are stacked.
+    `supports` is read once, in order, and no support set is kept, so a
+    generator holds one episode's images at a time.
+    """
+    if not stackable(state, cfg):
+        raise ContractError("meta_test_stacked needs freeze_meta and only parameter-free layers before the head")
+    adapted = state.clone()
+    net, ids = adapted.network, adapted.partition.task_ids
+    specs = _test_specs(adapted, cfg)
+    validate_specs(net, specs)
+    cut = _adapt_cut(net, ids, STAGE_META_TESTING, specs)
+    mask_rngs = [rng.derive("adapt-masks") for rng in rngs]
+    ways, xs, ys = set(), [], []
+    for support, rng in zip(supports, mask_rngs):
+        ways.add(_n_way(support))
+        if cfg.finetune_steps > 0:
+            xs.append(_to_cut(net, support.x, STAGE_META_TESTING, specs, rng, cut).data)
+        ys.append(support.y)
+    if len(ys) != len(rngs):
+        raise ContractError(f"{len(ys)} support sets for {len(rngs)} rngs")
+    if len(ways) != 1 or len({len(y) for y in ys}) != 1:
+        raise ContractError("stacked episodes need one class count and one support size")
+    net.reshape_head(ways.pop(), [rng.derive("head-init") for rng in rngs])
+    if cfg.finetune_steps > 0:
+        _descend(adapted, Tensor(np.concatenate(xs)), np.stack(ys), cut, cfg.finetune_steps, cfg.finetune_lr,
+                 STAGE_META_TESTING, specs, mask_rngs, ids)
     adapted.snapshot()
     return adapted
 

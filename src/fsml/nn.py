@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigurationError, ContractError, DimensionError
-from .ops import _trace
+from .ops import _mT, _trace
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -40,35 +40,38 @@ _COSINE_EPS = 1e-8
 def cosine_logits(features: Tensor, class_vectors: Tensor, scale: float) -> Tensor:
     """scale * cosine similarity between feature rows and class vectors.
 
-    Norms are guarded with a 1e-8 additive epsilon.  The backward pass is the
-    exact derivative of this guarded function: the d|f|/df term needs the true
-    unit vector, and an all-zero row (where that direction is undefined) has
-    zero cosine against everything, so its norm term vanishes anyway.
+    Features [B, d] against vectors [C, d] give [B, C]; per episode,
+    [E, B, d] against [E, C, d] give [E, B, C].  Norms are guarded with a
+    1e-8 additive epsilon.  The backward pass is the exact derivative of this
+    guarded function: the d|f|/df term needs the true unit vector, and an
+    all-zero row (where that direction is undefined) has zero cosine against
+    everything, so its norm term vanishes anyway.
     """
-    if features.data.ndim != 2 or class_vectors.data.ndim != 2:
-        raise DimensionError(f"need [B,d] features and [C,d] vectors, got {features.shape}, {class_vectors.shape}")
-    if features.shape[1] != class_vectors.shape[1]:
-        raise DimensionError(f"feature dim {features.shape[1]} != class vector dim {class_vectors.shape[1]}")
-    s = float(scale)
     fd, vd = features.data, class_vectors.data
-    raw_nf = np.sqrt((fd * fd).sum(axis=1, keepdims=True))
-    raw_nv = np.sqrt((vd * vd).sum(axis=1, keepdims=True))
+    if fd.ndim not in (2, 3) or vd.ndim != fd.ndim or fd.shape[:-2] != vd.shape[:-2]:
+        raise DimensionError(f"need [B,d] features and [C,d] vectors, or [E,B,d] and [E,C,d], "
+                             f"got {features.shape}, {class_vectors.shape}")
+    if fd.shape[-1] != vd.shape[-1]:
+        raise DimensionError(f"feature dim {fd.shape[-1]} != class vector dim {vd.shape[-1]}")
+    s = float(scale)
+    raw_nf = np.sqrt((fd * fd).sum(axis=-1, keepdims=True))
+    raw_nv = np.sqrt((vd * vd).sum(axis=-1, keepdims=True))
     nf = raw_nf + _COSINE_EPS
     nv = raw_nv + _COSINE_EPS
     fh = fd / nf
     vh = vd / nv
     fu = fd / np.where(raw_nf == 0, 1.0, raw_nf)
     vu = vd / np.where(raw_nv == 0, 1.0, raw_nv)
-    cos = fh @ vh.T
+    cos = fh @ _mT(vh)
     out = (s * cos).astype(fd.dtype)
 
     def grad_features(g):
         gs = g * s
-        return ((gs @ vh - (gs * cos).sum(axis=1, keepdims=True) * fu) / nf).astype(fd.dtype)
+        return ((gs @ vh - (gs * cos).sum(axis=-1, keepdims=True) * fu) / nf).astype(fd.dtype)
 
     def grad_vectors(g):
         gs = g * s
-        return ((gs.T @ fh - (gs * cos).sum(axis=0)[:, None] * vu) / nv).astype(vd.dtype)
+        return ((_mT(gs) @ fh - (gs * cos).sum(axis=-2)[..., None] * vu) / nv).astype(vd.dtype)
 
     return _trace("cosine_logits", out, (features, class_vectors), (grad_features, grad_vectors))
 
@@ -222,7 +225,32 @@ def make_dropout_mask(spec: DropoutSpec, shape: tuple[int, ...], rng: Rng, dtype
 # layers
 
 
-class Conv3x3Block:
+class _Layer:
+    """A tagged layer in two parts, split at its dropout mask.
+
+    `apply(x, inject)` runs `before_mask`, hands that activation to
+    `inject(tag, h)`, which masks it, and runs `after_mask` on the result;
+    with `inject` None it stops before the mask and returns the activation
+    the mask would see.  Everything after the mask is parameter-free.
+    """
+
+    def apply(self, x: Tensor, inject) -> Tensor:
+        h = self.before_mask(x)
+        return h if inject is None else self.after_mask(inject(self.tag, h))
+
+    def after_mask(self, h: Tensor) -> Tensor:
+        return h
+
+
+def _episode_rows(x: Tensor, param: Tensor) -> Tensor:
+    """Rows [E*B, d] as [E, B, d] for a head whose `param` carries a leading episode axis; else `x`."""
+    if param.data.ndim == 2:
+        return x
+    e = param.shape[0]
+    return ops.reshape(x, (e, x.shape[0] // e, x.shape[1]))
+
+
+class Conv3x3Block(_Layer):
     """conv 3x3 (stride 1, pad 1) -> relu -> [mask] -> maxpool 2x2."""
 
     def __init__(self, tag: str, weight: Tensor, bias: Tensor):
@@ -233,9 +261,11 @@ class Conv3x3Block:
     def params(self):
         return {f"{self.tag}.weight": self.weight, f"{self.tag}.bias": self.bias}
 
-    def apply(self, x: Tensor, inject) -> Tensor:
-        h = ops.relu(ops.bias_add(ops.conv2d(x, self.weight, stride=1, pad=1), self.bias))
-        return ops.maxpool2(inject(self.tag, h))
+    def before_mask(self, x: Tensor) -> Tensor:
+        return ops.relu(ops.bias_add(ops.conv2d(x, self.weight, stride=1, pad=1), self.bias))
+
+    def after_mask(self, h: Tensor) -> Tensor:
+        return ops.maxpool2(h)
 
     def shapes(self, in_shape):
         c, h, w = in_shape
@@ -250,16 +280,15 @@ class Conv3x3Block:
         return Conv3x3Block(self.tag, self.weight.copy(), self.bias.copy())
 
 
-class Flatten:
+class Flatten(_Layer):
     def __init__(self, tag: str = "flatten"):
         self.tag = tag
 
     def params(self):
         return {}
 
-    def apply(self, x: Tensor, inject) -> Tensor:
-        flat = ops.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        return inject(self.tag, flat)
+    def before_mask(self, x: Tensor) -> Tensor:
+        return ops.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
 
     def shapes(self, in_shape):
         d = int(np.prod(in_shape))
@@ -269,8 +298,13 @@ class Flatten:
         return Flatten(self.tag)
 
 
-class Linear:
-    """x @ weight (+ bias); weight is [in, out]."""
+class Linear(_Layer):
+    """x @ weight (+ bias); weight is [in, out].
+
+    As a head it may hold E heads at once, weight [E, in, out] and bias
+    [E, out]: it then reads its [E*B, in] input as E episodes of B rows and
+    returns [E, B, out].
+    """
 
     def __init__(self, tag: str, weight: Tensor, bias: Tensor | None = None):
         self.tag = tag
@@ -283,23 +317,26 @@ class Linear:
             out[f"{self.tag}.bias"] = self.bias
         return out
 
-    def apply(self, x: Tensor, inject) -> Tensor:
-        y = ops.matmul(x, self.weight)
-        if self.bias is not None:
-            y = ops.bias_add(y, self.bias)
-        return inject(self.tag, y)
+    def before_mask(self, x: Tensor) -> Tensor:
+        y = ops.matmul(_episode_rows(x, self.weight), self.weight)
+        return y if self.bias is None else ops.bias_add(y, self.bias)
 
     def shapes(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.weight.shape[0]:
-            raise ConfigurationError(f"layer {self.tag} expects ({self.weight.shape[0]},), gets {in_shape}")
-        return (self.weight.shape[1],), (self.weight.shape[1],)
+        n_in, n_out = self.weight.shape[-2:]
+        if len(in_shape) != 1 or in_shape[0] != n_in:
+            raise ConfigurationError(f"layer {self.tag} expects ({n_in},), gets {in_shape}")
+        return (n_out,), (n_out,)
 
     def clone(self):
         return Linear(self.tag, self.weight.copy(), None if self.bias is None else self.bias.copy())
 
 
-class CosineHead:
-    """Logits are scale * cos(feature, class vector); no bias anywhere."""
+class CosineHead(_Layer):
+    """Logits are scale * cos(feature, class vector); no bias anywhere.
+
+    It may hold E heads at once, class vectors [E, C, d]: it then reads its
+    [E*B, d] input as E episodes of B rows and returns [E, B, C].
+    """
 
     def __init__(self, class_vectors: Tensor, scale: float, tag: str = "head"):
         self.tag = tag
@@ -309,16 +346,26 @@ class CosineHead:
     def params(self):
         return {f"{self.tag}.class_vectors": self.class_vectors}
 
-    def apply(self, x: Tensor, inject) -> Tensor:
-        return inject(self.tag, cosine_logits(x, self.class_vectors, self.scale))
+    def before_mask(self, x: Tensor) -> Tensor:
+        v = self.class_vectors
+        return cosine_logits(_episode_rows(x, v), v, self.scale)
 
     def shapes(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.class_vectors.shape[1]:
-            raise ConfigurationError(f"head expects ({self.class_vectors.shape[1]},), gets {in_shape}")
-        return (self.class_vectors.shape[0],), (self.class_vectors.shape[0],)
+        n_classes, d = self.class_vectors.shape[-2:]
+        if len(in_shape) != 1 or in_shape[0] != d:
+            raise ConfigurationError(f"head expects ({d},), gets {in_shape}")
+        return (n_classes,), (n_classes,)
 
     def clone(self):
         return CosineHead(self.class_vectors.copy(), self.scale, self.tag)
+
+
+def _stack_heads(heads):
+    """Heads of one kind and shape as one head whose parameters carry a leading episode axis."""
+    stacked = heads[0].clone()
+    for pid, t in stacked.params().items():
+        t.data = np.stack([head.params()[pid].data for head in heads])
+    return stacked
 
 
 def _kaiming_uniform(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:
@@ -404,17 +451,23 @@ class Network:
     def clone(self) -> "Network":
         return Network([layer.clone() for layer in self.layers], self.input_shape)
 
-    def reshape_head(self, n_classes: int, rng: Rng) -> None:
-        """Swap in a freshly initialized head with `n_classes` outputs."""
+    def reshape_head(self, n_classes: int, rng) -> None:
+        """Swap in a freshly initialized head with `n_classes` outputs.
+
+        Given a list of rngs instead of one, the new head holds one such
+        initialization per rng, stacked on a leading episode axis.
+        """
         old = self.head
         dtype = next(iter(old.params().values())).dtype
         if isinstance(old, CosineHead):
-            new = init_cosine_head(n_classes, self.head_in_dim, rng, old.scale, dtype)
+            def fresh(r):
+                return init_cosine_head(n_classes, self.head_in_dim, r, old.scale, dtype)
         elif isinstance(old, Linear):
-            new = init_linear_head(n_classes, self.head_in_dim, rng, dtype)
+            def fresh(r):
+                return init_linear_head(n_classes, self.head_in_dim, r, dtype)
         else:
             raise ConfigurationError(f"cannot reshape head of type {type(old).__name__}")
-        self.layers[-1] = new
+        self.layers[-1] = fresh(rng) if isinstance(rng, Rng) else _stack_heads([fresh(r) for r in rng])
         self._mask_shapes["head"] = (n_classes,)
 
 
@@ -486,31 +539,42 @@ def forward(
     mode: str,
     stage: str,
     specs=(),
-    rng: Rng | None = None,
+    rng=None,
     tape: Tape | None = None,
     start: int = 0,
     stop: int | None = None,
+    start_at_mask: bool = False,
+    stop_at_mask: bool = False,
 ) -> Tensor:
     """Run layers [start, stop) of the network on a batch and return the output.
 
     By default that is the whole network on a [B, *input_shape] batch, and the
     output is the logits; with `start` the batch is the output of layer
     start - 1, and with `stop` the result is the output of layer stop - 1.
-    A spec's masks fire only when mode == "train" and its stage matches
-    `stage`; everything else is a pure function of the parameters.  Masks are
-    drawn from `rng` per forward pass, one draw per (spec, layer) for the
-    whole batch, which for the spatial kinds equals one [C,H,W] draw per
-    sample in batch order.
+    With `start_at_mask` the batch is instead the activation that layer
+    `start`'s mask sees, and the forward begins with that mask; with
+    `stop_at_mask` it also runs layer `stop` up to its mask and returns that
+    activation.  A spec's masks fire only when mode == "train" and its stage
+    matches `stage`; everything else is a pure function of the parameters.
+    Masks are drawn from `rng` per forward pass, one draw per (spec, layer)
+    for the whole batch, which for the spatial kinds equals one [C,H,W] draw
+    per sample in batch order.
+
+    For a network whose head holds E heads, the batch is E episodes' rows in
+    order and `rng` may be a list of E rngs: each episode's masks are then
+    drawn from its own rng, as its own forward would draw them.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ContractError(f"unknown mode {mode!r}")
     if stage not in (STAGE_META_TRAINING, STAGE_META_TESTING):
         raise ContractError(f"unknown stage {stage!r}")
-    stop = len(net.layers) if stop is None else stop
-    if not 0 <= start < stop <= len(net.layers):
-        raise ContractError(f"layer range [{start}, {stop}) is not a non-empty range of {len(net.layers)} layers")
+    n = len(net.layers)
+    stop = n if stop is None else stop
+    # in half layers: 2k is the input of layer k, 2k + 1 its mask
+    if not 0 <= 2 * start + start_at_mask < 2 * stop + stop_at_mask <= 2 * n:
+        raise ContractError(f"layer range [{start}, {stop}) is not a non-empty range of {n} layers")
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    in_shape = net._in_shapes[start]
+    in_shape = net.mask_shape(net.layers[start].tag) if start_at_mask else net._in_shapes[start]
     if x.data.ndim != len(in_shape) + 1 or x.shape[1:] != in_shape:
         raise DimensionError(f"batch shape {x.shape} does not match input shape {in_shape} of layer {start}")
     validate_specs(net, specs)
@@ -519,15 +583,28 @@ def forward(
         raise ContractError("active dropout specs need an rng")
     net.bind(tape)
 
+    def draw(spec: DropoutSpec, tag: str, t: Tensor) -> Mask:
+        if rng is None or isinstance(rng, Rng):
+            return make_dropout_mask(spec, t.shape, rng, t.dtype)
+        # the head's output carries the episode axis; every other activation holds the episodes' rows
+        shape = t.shape[1:] if tag == net.head.tag else (t.shape[0] // len(rng), *t.shape[1:])
+        return Mask(np.stack([make_dropout_mask(spec, shape, r, t.dtype).values for r in rng]).reshape(t.shape))
+
     def inject(tag: str, t: Tensor) -> Tensor:
         for spec in active:
             if tag in spec.placements and spec.keep_prob < 1.0:
-                t = make_dropout_mask(spec, t.shape, rng, t.dtype).apply(t)
+                t = draw(spec, tag, t).apply(t)
         return t
 
     out = x
-    for layer in net.layers[start:stop]:
+    layers = net.layers[start:stop]
+    if start_at_mask:
+        out = layers[0].after_mask(inject(layers[0].tag, out))
+        layers = layers[1:]
+    for layer in layers:
         out = layer.apply(out, inject)
+    if stop_at_mask:
+        out = net.layers[stop].apply(out, None)
     return out
 
 

@@ -1,9 +1,15 @@
 """Differentiable operations.
 
 Conventions: feature maps are channel-first ([C, H, W], batched [B, C, H, W]);
-conv is cross-correlation (no kernel flip); matmul is rank-2 only.  There is no
-general broadcasting — the only shape-bending op is bias_add, which broadcasts
-a per-feature or per-channel vector over the remaining axes.
+conv is cross-correlation (no kernel flip).  There is no general broadcasting —
+the only shape-bending op is bias_add, which broadcasts a per-feature or
+per-channel vector over the remaining axes.
+
+The head ops (matmul, bias_add, softmax_cross_entropy, and nn.cosine_logits)
+also take every operand with one leading episode axis [E, ...]: slice e of
+the result, and of each gradient, is the op on slice e of the operands, and
+the loss is the sum of the E per-episode losses.  One tape then runs E
+independent heads.
 """
 
 from __future__ import annotations
@@ -111,13 +117,19 @@ def one_blas_thread():
         set_blas_threads(before)
 
 
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in `a`: a view with the last two axes swapped."""
+    return a.swapaxes(-1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 matrix product [m, k] @ [k, n] -> [m, n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul needs [m,k] @ [k,n], got {a.shape} @ {b.shape}")
+    """Matrix product [m, k] @ [k, n] -> [m, n], or per episode [E, m, k] @ [E, k, n] -> [E, m, n]."""
+    nd = a.data.ndim
+    if nd not in (2, 3) or b.data.ndim != nd or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul needs [m,k] @ [k,n] or [E,m,k] @ [E,k,n], got {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd
-    return _trace("matmul", out, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g))
+    return _trace("matmul", out, (a, b), (lambda g: g @ _mT(bd), lambda g: _mT(ad) @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -128,10 +140,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a bias vector: [B,n]+[n], [B,C,H,W]+[C] or [C,H,W]+[C]."""
-    if b.data.ndim != 1:
-        raise DimensionError(f"bias must be a vector, got shape {b.shape}")
+    """Add a bias vector: [B,n]+[n], [B,C,H,W]+[C] or [C,H,W]+[C]; per episode [E,B,n]+[E,n]."""
     nd = x.data.ndim
+    if b.data.ndim == 2 and nd == 3 and x.shape[0] == b.shape[0] and x.shape[2] == b.shape[1]:
+        out = x.data + b.data[:, None, :]
+        return _trace("bias_add", out, (x, b), (lambda g: g, lambda g: g.sum(axis=1)))
+    if b.data.ndim != 1:
+        raise DimensionError(f"bias must be a vector, or [E, n] on [E, B, n], got shape {b.shape} on {x.shape}")
     if nd == 2 and x.shape[1] == b.shape[0]:
         out = x.data + b.data
         reduce_axes = (0,)
@@ -292,28 +307,32 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over the batch of -log softmax(logits)[target].
 
     `targets` are plain class indices [B]; they are data, not a differentiable
-    operand.  Computed via the log-sum-exp shift so large logits stay finite.
+    operand.  Per episode, logits [E, B, C] and targets [E, B] give the sum
+    of the E batch means.  Computed via the log-sum-exp shift so large logits
+    stay finite.
     """
-    if logits.data.ndim != 2:
-        raise DimensionError(f"logits must be [B, C], got {logits.shape}")
+    if logits.data.ndim not in (2, 3):
+        raise DimensionError(f"logits must be [B, C] or [E, B, C], got {logits.shape}")
     t = np.asarray(targets)
-    if t.ndim != 1 or t.shape[0] != logits.shape[0]:
-        raise DimensionError(f"targets must be [B] = [{logits.shape[0]}], got {t.shape}")
-    if t.size and (t.min() < 0 or t.max() >= logits.shape[1]):
-        raise IndexError(f"target out of range for {logits.shape[1]} classes")
+    if t.shape != logits.shape[:-1]:
+        raise DimensionError(f"targets must be {list(logits.shape[:-1])}, got {list(t.shape)}")
+    if t.size and (t.min() < 0 or t.max() >= logits.shape[-1]):
+        raise IndexError(f"target out of range for {logits.shape[-1]} classes")
     t = t.astype(np.int64)
     z = logits.data
-    m = z.max(axis=1, keepdims=True)
+    bsz = z.shape[-2]
+    # the index of each target logit
+    picked = (np.arange(bsz), t) if t.ndim == 1 else (np.arange(len(t))[:, None], np.arange(bsz), t)
+    m = z.max(axis=-1, keepdims=True)
     shifted = z - m
-    lse = m + np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = z - lse
-    bsz = z.shape[0]
-    loss = np.asarray(-logp[np.arange(bsz), t].mean(), dtype=z.dtype)
+    loss = np.asarray(-logp[picked].mean(axis=-1).sum(), dtype=z.dtype)
     softmax = np.exp(logp)
 
     def grad_logits(g):
         d = softmax.copy()
-        d[np.arange(bsz), t] -= 1.0
+        d[picked] -= 1.0
         return (g * d / bsz).astype(z.dtype)
 
     return _trace("softmax_cross_entropy", loss, (logits,), (grad_logits,))

@@ -215,7 +215,19 @@ def _op_cases(rng: Rng):
         "conv2d": (3, 2, 3, 3), "maxpool2": (2, 4, 6),
         "softmax_cross_entropy": (3, 4), "squared_error": (3, 4),
         "cosine_logits_features": (3, 6), "cosine_logits_vectors": (4, 6),
+        # the head ops with a leading axis of 2 episodes
+        "matmul_stacked": (2, 4, 3), "matmul_stacked_right": (2, 3, 5), "bias_add_stacked": (2, 5),
+        "softmax_cross_entropy_stacked": (2, 3, 4),
+        "cosine_logits_features_stacked": (2, 3, 6), "cosine_logits_vectors_stacked": (2, 4, 6),
     }
+    # drawn from their own stream, so the operands of the cases above do not move
+    srng = rng.derive("stacked")
+    c_stacked = Tensor(srng.normal_array((2, 3, 5)))
+    a_stacked = Tensor(srng.normal_array((2, 4, 3)))
+    x_stacked = Tensor(srng.normal_array((2, 3, 5)))
+    vecs_stacked = Tensor(srng.normal_array((2, 4, 6)))
+    feats_stacked = Tensor(srng.normal_array((2, 3, 6)))
+    targets_stacked = np.array([[1, 0, 3], [2, 2, 0]])
 
     def total(t: Tensor) -> Tensor:
         # reduce any output to a scalar through a fixed random weighting
@@ -238,6 +250,12 @@ def _op_cases(rng: Rng):
         "squared_error": lambda v: ops.squared_error(v, y),
         "cosine_logits_features": lambda v: total(cosine_logits(v, vecs, 10.0)),
         "cosine_logits_vectors": lambda v: total(cosine_logits(feats, v, 10.0)),
+        "matmul_stacked": lambda v: total(ops.matmul(v, c_stacked)),
+        "matmul_stacked_right": lambda v: total(ops.matmul(a_stacked, v)),
+        "bias_add_stacked": lambda v: total(ops.bias_add(x_stacked, v)),
+        "softmax_cross_entropy_stacked": lambda v: ops.softmax_cross_entropy(v, targets_stacked),
+        "cosine_logits_features_stacked": lambda v: total(cosine_logits(v, vecs_stacked, 10.0)),
+        "cosine_logits_vectors_stacked": lambda v: total(cosine_logits(feats_stacked, v, 10.0)),
     }
     return weights, cases
 

@@ -202,7 +202,7 @@ def test_c7_chance_level():
 C8_WIDTHS = (4, 8, 8, 8)
 
 
-def _c8_build_net(seed):
+def _c8_build_net(regime, seed):
     net = build_conv4(C8_WIDTHS, (1, 32, 32), 64, "cosine", Rng(seed).derive("net-init"))
     return net, partition_params(net, CONV_TAGS)
 

@@ -138,6 +138,61 @@ def test_softmax_grad_rows_sum_to_zero():
     assert np.abs(g.sum(axis=1)).max() < 1e-12
 
 
+def test_stacked_matmul_grad_both_operands():
+    # one leading episode axis: [E, m, k] @ [E, k, n]
+    rng = Rng(11)
+    a = Tensor(rng.normal_array((2, 4, 3)))
+    b = Tensor(rng.normal_array((2, 3, 5)))
+    zero = Tensor(np.zeros((2, 4, 5)))
+    check_op(lambda x: ops.squared_error(ops.matmul(x, b), zero), a.data)
+    check_op(lambda x: ops.squared_error(ops.matmul(a, x), zero), b.data)
+
+
+def test_stacked_bias_add_grad_both_operands():
+    rng = Rng(12)
+    x = Tensor(rng.normal_array((2, 3, 4)))
+    b = Tensor(rng.normal_array((2, 4)))
+    target = Tensor(rng.normal_array((2, 3, 4)))
+    check_op(lambda t: ops.squared_error(ops.bias_add(t, b), target), x.data)
+    check_op(lambda t: ops.squared_error(ops.bias_add(x, t), target), b.data)
+
+
+def test_stacked_softmax_cross_entropy_is_the_sum_of_episode_losses():
+    rng = Rng(13)
+    logits = rng.normal_array((3, 4, 5))
+    targets = np.array([[0, 4, 1, 1], [2, 3, 0, 4], [1, 1, 2, 0]])
+    check_op(lambda t: ops.softmax_cross_entropy(t, targets), logits, tol=1e-5)
+    per_episode = [ops.softmax_cross_entropy(Tensor(logits[e]), targets[e]).item() for e in range(3)]
+    assert ops.softmax_cross_entropy(Tensor(logits), targets).item() == pytest.approx(sum(per_episode), rel=1e-12)
+
+
+def test_stacked_cosine_logits_grad_both_operands():
+    from fsml.nn import cosine_logits
+
+    rng = Rng(14)
+    feats = Tensor(rng.normal_array((2, 3, 6)))
+    vecs = Tensor(rng.normal_array((2, 4, 6)))
+    zero = Tensor(np.zeros((2, 3, 4)))
+    check_op(lambda t: ops.squared_error(cosine_logits(t, vecs, 10.0), zero), feats.data, tol=1e-5)
+    check_op(lambda t: ops.squared_error(cosine_logits(feats, t, 10.0), zero), vecs.data, tol=1e-5)
+
+
+def test_stacked_head_ops_reject_mismatched_episode_axes():
+    from fsml.errors import DimensionError
+    from fsml.nn import cosine_logits
+
+    with pytest.raises(DimensionError):
+        ops.matmul(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((3, 3, 5))))
+    with pytest.raises(DimensionError):
+        ops.matmul(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((3, 5))))
+    with pytest.raises(DimensionError):
+        ops.bias_add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))))
+    with pytest.raises(DimensionError):
+        ops.softmax_cross_entropy(Tensor(np.zeros((2, 3, 4))), np.zeros(3, dtype=np.int64))
+    with pytest.raises(DimensionError):
+        cosine_logits(Tensor(np.zeros((2, 3, 6))), Tensor(np.zeros((4, 6))), 10.0)
+
+
 def test_reshape_grad_passthrough():
     rng = Rng(9)
     check_op(lambda t: ops.squared_error(ops.reshape(t, (6,)), Tensor(np.zeros(6))),

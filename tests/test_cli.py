@@ -344,6 +344,22 @@ def test_ablate_logs_progress_and_writes_the_same_csv(tmp_path, caplog, monkeypa
     assert csvs["info"] == csvs["error"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablate_counts_cells_over_every_regime(tmp_path, caplog, monkeypatch, jobs):
+    if int(jobs) > (os.cpu_count() or 1):
+        pytest.skip("needs two CPUs")
+    raw = base_config(out=tmp_path / "o")
+    raw["ablation"] = {"arms": ["none", "M"], "kinds": ["standard"], "batch_sizes": [8],
+                       "regimes": ["pretrain_finetune", "episodic"]}
+    monkeypatch.setenv("FSML_LOG", "info")
+    caplog.set_level(logging.INFO, logger="fsml")
+    assert main(["ablate", "--config", write_config(tmp_path, raw), "--jobs", jobs]) == 0
+    progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cell ")]
+    cells = [("pretrain_finetune", "none"), ("pretrain_finetune", "M"), ("episodic", "none"), ("episodic", "M")]
+    assert [line.split(", elapsed")[0] for line in progress] == [
+        f"cell {i}/4 ({regime}, {arm}, standard, seed 0)" for i, (regime, arm) in enumerate(cells, 1)]
+
+
 @pytest.mark.parametrize("top_regime", ["pretrain_finetune", "episodic"])
 def test_ablate_sizes_each_head_from_the_cell_regime(tmp_path, capsys, monkeypatch, top_regime):
     from fsml import evaluate
@@ -352,7 +368,7 @@ def test_ablate_sizes_each_head_from_the_cell_regime(tmp_path, capsys, monkeypat
     run_cell = evaluate.run_cell
 
     def recording_run_cell(cell, assets, seed):
-        heads.append((cell.regime, assets.build_net(seed)[0].n_classes))
+        heads.append((cell.regime, assets.build_net(cell.regime, seed)[0].n_classes))
         return run_cell(cell, assets, seed)
 
     monkeypatch.setattr(evaluate, "run_cell", recording_run_cell)

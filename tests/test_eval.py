@@ -27,7 +27,15 @@ from fsml.evaluate import (
     run_cell,
     write_ablation_csv,
 )
-from fsml.meta import KnowledgeState, MetaTestConfig, TrainConfig, meta_test, meta_test_prefix, meta_train_pretrain
+from fsml.meta import (
+    KnowledgeState,
+    MetaTestConfig,
+    TrainConfig,
+    meta_test,
+    meta_test_prefix,
+    meta_test_stacked,
+    meta_train_pretrain,
+)
 from fsml.nn import (
     MODE_EVAL,
     STAGE_META_TESTING,
@@ -220,9 +228,9 @@ def test_chunked_embedding_rows_equal_any_forward_of_that_many_images(trained_32
 def reference_episodes(state, view, espec, mcfg, n_episodes, seed):
     """Each episode without the cache: meta_test, then a full forward of the query images.
 
-    Returns the per-episode accuracies and query logits.
+    Returns the per-episode accuracies, query logits and adapted head values.
     """
-    accs, logits = [], []
+    accs, logits, heads = [], [], []
     for i in range(n_episodes):
         ep_rng = Rng(seed).derive(f"eval-episode-{i}")
         episode = sample_episode(view, espec, ep_rng.derive("sample"))
@@ -230,7 +238,13 @@ def reference_episodes(state, view, espec, mcfg, n_episodes, seed):
         out = forward(adapted.network, episode.query.x, MODE_EVAL, STAGE_META_TESTING).data
         accs.append(float((np.argmax(out, axis=1) == episode.query.y).mean()))
         logits.append(out)
-    return tuple(accs), logits
+        heads.append(head_values(adapted.network))
+    return tuple(accs), logits, heads
+
+
+def head_values(net, episode=None):
+    """The head's parameter arrays by id; with `episode`, that slice of a head holding one per episode."""
+    return {pid: t.data if episode is None else t.data[episode] for pid, t in net.head.params().items()}
 
 
 def _task_drop(place):
@@ -255,27 +269,54 @@ def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypa
     trained, novel = trained_32px
     state = KnowledgeState(trained.network, partition_params(trained.network, tags), seed=7)
     assert meta_test_prefix(state, mcfg) == cut
-    logits = []
+    logits, heads = [], []
+    accuracy = evaluate_module._accuracy
 
-    def recording_forward(*args, **kwargs):
-        out = forward(*args, **kwargs)
-        if "start" in kwargs:  # the forward that classifies an episode's query
-            logits.append(out.data)
-        return out
+    def recording_accuracy(rows, query_y):  # every path scores each episode's query logits here
+        logits.append(rows)
+        return accuracy(rows, query_y)
 
-    monkeypatch.setattr(evaluate_module, "forward", recording_forward)
+    def recording_meta_test(*args):
+        adapted = meta_test(*args)
+        heads.append(head_values(adapted.network))
+        return adapted
+
+    def recording_meta_test_stacked(*args):
+        adapted = meta_test_stacked(*args)
+        n_stacked = len(next(iter(adapted.network.head.params().values())).data)
+        heads.extend(head_values(adapted.network, e) for e in range(n_stacked))
+        return adapted
+
+    monkeypatch.setattr(evaluate_module, "_accuracy", recording_accuracy)
+    monkeypatch.setattr(evaluate_module, "meta_test", recording_meta_test)
+    monkeypatch.setattr(evaluate_module, "meta_test_stacked", recording_meta_test_stacked)
     # query sets of 20, 15 and 6 images; at 6, rows from larger batches differ.
     # One episode reads fewer query images than the 63 of the view, so it skips the cache
     for espec in (EpisodeSpec(C=5, K=1, Q_query=4), EpisodeSpec(C=3, K=2, Q_query=5),
                   EpisodeSpec(C=2, K=1, Q_query=3)):
         for n in (12, 1):
             logits.clear()
+            heads.clear()
             report = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=3, jobs=jobs)
-            ref_accs, ref_logits = reference_episodes(state, novel, espec, mcfg, n, seed=3)
+            ref_accs, ref_logits, ref_heads = reference_episodes(state, novel, espec, mcfg, n, seed=3)
             assert report.per_episode_acc == ref_accs
             if jobs == 1:
                 assert len(logits) == n
                 assert all(np.array_equal(a, b) for a, b in zip(logits, ref_logits))
+                assert len(heads) == n
+                for got, want in zip(heads, ref_heads):
+                    assert got.keys() == want.keys()
+                    assert all(got[pid].tobytes() == want[pid].tobytes() for pid in want)
+
+
+@pytest.mark.parametrize("stack", [1, 5])
+def test_stacks_of_any_size_give_the_same_report(trained_32px, monkeypatch, stack):
+    state, novel = trained_32px
+    espec = EpisodeSpec(C=5, K=1, Q_query=4)
+    mcfg = replace(_FROZEN, task_dropout=_task_drop("conv4"))
+    whole = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2)
+    monkeypatch.setattr(evaluate_module, "_STACK", stack)
+    assert evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2) == whole
 
 
 def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
@@ -293,6 +334,24 @@ def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
     evaluate_fewshot(state, novel, espec, _FROZEN, n_episodes=n, seed=1)
     # 4 convs per chunk of C * Q_query images, plus the support prefix of each
     # episode; without the cache each query forward adds 4 more per episode
+    assert len(calls) == 4 * math.ceil(novel.n_samples / 20) + 4 * n
+
+
+def test_task_dropout_on_conv4_costs_four_convs_per_episode(trained_32px, monkeypatch):
+    calls = []
+    conv2d = ops.conv2d
+
+    def counting_conv2d(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    state, novel = trained_32px
+    espec = EpisodeSpec(C=5, K=1, Q_query=4)
+    n = 7
+    mcfg = replace(_FROZEN, finetune_steps=5, task_dropout=_task_drop("conv4"))
+    evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
+    # the support forward runs conv4 up to its mask once, not on each of the 5 steps
     assert len(calls) == 4 * math.ceil(novel.n_samples / 20) + 4 * n
 
 
@@ -329,7 +388,7 @@ def test_placement_labels():
 # ablation grid
 
 
-def _ablation_build_net(seed):
+def _ablation_build_net(regime, seed):
     # module-level so ProcessPoolExecutor can pickle the assets
     net = build_conv4((2, 2, 2, 2), (1, 16, 16), 4, "cosine", Rng(seed))
     return net, partition_params(net, CONV_TAGS)

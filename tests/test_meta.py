@@ -341,6 +341,26 @@ def test_plateau_is_named_in_one_warning(caplog):
     assert all(set(entry) == {"epoch", "meta_loss", "task_loss", "wall_ms"} for entry in state.log)
 
 
+@pytest.mark.parametrize("regime", ["pretrain_finetune", "episodic"])
+def test_plateau_warning_names_the_training_cell(caplog, regime):
+    view = gen_synthetic(SyntheticSpec(
+        n_classes=4, samples_per_class=8, image_extent=16, cluster_std=0.1, class_separation=5.0, seed=2))
+    n_classes = 4 if regime == "pretrain_finetune" else 2
+    net = build_conv4((8, 8, 8, 8), (1, 16, 16), n_classes, "cosine", Rng(7))
+    spec = mdrop(kp=0.9)
+    cfg = TrainConfig(meta_lr=1e-12, meta_epochs=2, batch_size=8, meta_dropout=spec, seed=3)
+    with caplog.at_level(logging.WARNING, logger="fsml"):
+        meta_train(regime, view, EpisodeSpec(C=2, K=1, Q_query=2), net, partition_params(net, CONV_TAGS), cfg)
+    messages = [r.getMessage() for r in caplog.records if r.name == "fsml"]
+    assert len(messages) == 1
+    assert messages[0].startswith("seed 3: last epoch's meta_loss")
+    assert messages[0].endswith(f"({regime}, batch 8, meta-dropout {spec.kind} on conv3&conv4)")
+    with caplog.at_level(logging.WARNING, logger="fsml"):
+        caplog.clear()
+        separable_pretrain(1e-12)
+    assert caplog.records[-1].getMessage().endswith("(pretrain_finetune, batch 8, no meta-dropout)")
+
+
 def test_learning_run_logs_no_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="fsml"):
         state = separable_pretrain(0.05)
@@ -620,6 +640,21 @@ def test_frozen_meta_test_runs_each_conv_once(monkeypatch):
     monkeypatch.setattr(ops, "conv2d", counting_conv2d)
     _, adapted = adapted_pair(freeze=True, steps=5)
     assert adapted.network.n_classes == 3
+    assert len(calls) == 4
+
+
+def test_task_dropout_on_conv4_runs_each_conv_once(monkeypatch):
+    # conv4's conv, bias and relu come before its mask, so they run once, not on each of the 5 steps
+    calls = []
+    conv2d = ops.conv2d
+
+    def counting_conv2d(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    adapt = adapted_pair(freeze=True, steps=5, task_dropout=task_drop("conv4"))[1]
+    assert adapt.network.n_classes == 3
     assert len(calls) == 4
 
 

@@ -123,6 +123,28 @@ def test_forward_layer_range_splits_the_network_bitwise():
         assert np.array_equal(rest.data, full.data)
 
 
+def test_forward_cut_at_a_mask_splits_a_train_forward_bitwise():
+    # masks on conv2, conv4 and flatten: a cut at any layer's mask, and the
+    # forward on from there, draw the masks of the full forward in its order
+    net = small_net("cosine")
+    specs = (DropoutSpec("standard", 0.7, frozenset({"conv2", "flatten"}), STAGE_META_TRAINING),
+             DropoutSpec("dropblock", 0.8, frozenset({"conv4"}), STAGE_META_TRAINING, block_size=3))
+    x = Rng(4).uniform_array((3, 1, 32, 32)).astype(np.float32)
+    full = forward(net, x, MODE_TRAIN, STAGE_META_TRAINING, specs, Rng(9))
+    for k in range(len(net.layers) - 1):
+        rng = Rng(9)
+        h = forward(net, x, MODE_TRAIN, STAGE_META_TRAINING, specs, rng, stop=k, stop_at_mask=True)
+        assert h.shape[1:] == net.mask_shape(net.layers[k].tag)
+        rest = forward(net, h, MODE_TRAIN, STAGE_META_TRAINING, specs, rng, start=k, start_at_mask=True)
+        assert np.array_equal(rest.data, full.data), k
+    n = len(net.layers)
+    with pytest.raises(ContractError, match="layer range"):
+        forward(net, x, MODE_EVAL, STAGE_META_TESTING, stop=n, stop_at_mask=True)
+    with pytest.raises(ContractError, match="layer range"):
+        forward(net, np.zeros((2, 8, 4, 4), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING,
+                start=3, stop=3, start_at_mask=True, stop_at_mask=True)
+
+
 def test_forward_checks_the_batch_against_the_start_layer():
     net = small_net()
     image = np.zeros((2, 1, 32, 32), dtype=np.float32)
