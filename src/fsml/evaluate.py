@@ -30,7 +30,6 @@ from .meta import (
     TrainConfig,
     meta_test,
     meta_test_prefix,
-    meta_test_stacked,
     meta_train,
     stackable,
 )
@@ -110,24 +109,14 @@ def _accuracy(logits: np.ndarray, query_y: np.ndarray) -> float:
     return float((np.argmax(logits, axis=1) == query_y).mean())
 
 
-def _episode_accuracy(index: int, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
-                      mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> float:
-    """Adapt on episode `index` and classify its query rows of `feats`, from layer `cut` on."""
-    ep_rng = _episode_rng(seed, index)
-    episode = sample_episode(view, espec, ep_rng.derive("sample"))
-    adapted = meta_test(state, episode.support, mcfg, ep_rng)
-    logits = forward(adapted.network, feats[episode.query_idx], MODE_EVAL, STAGE_META_TESTING, start=cut)
-    return _accuracy(logits.data, episode.query.y)
-
-
 # episodes adapted in one stack: enough to spread each step's Python cost
 # thin, few enough to bound the stacked arrays whatever n_episodes is
 _STACK = 100
 
 
-def _stacked_accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
-                        mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> list[float]:
-    """The accuracies of episodes `indices` from one stacked adaptation and one stacked head forward."""
+def _accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
+                mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> list[float]:
+    """The accuracies of episodes `indices` from one meta_test call and one query forward from layer `cut` on."""
     rngs = [_episode_rng(seed, i) for i in indices]
     queries = []  # (query rows of feats, query labels) per episode
 
@@ -138,7 +127,7 @@ def _stacked_accuracies(indices, state: KnowledgeState, view: Dataset, espec: Ep
             queries.append((episode.query_idx, episode.query.y))
             yield episode.support
 
-    adapted = meta_test_stacked(state, supports(), mcfg, rngs)
+    adapted = meta_test(state, supports(), mcfg, rngs)
     rows = np.concatenate([feats[idx] for idx, _ in queries])
     logits = forward(adapted.network, rows, MODE_EVAL, STAGE_META_TESTING, start=cut).data
     return [_accuracy(episode_logits, y) for episode_logits, (_, y) in zip(logits, queries)]
@@ -154,8 +143,8 @@ def _pool_init(*args) -> None:
     _POOL_ARGS = args
 
 
-def _pool_episode(index: int) -> float:
-    return _episode_accuracy(index, *_POOL_ARGS)
+def _pool_accuracies(indices) -> list[float]:
+    return _accuracies(indices, *_POOL_ARGS)
 
 
 @ops.one_blas_thread()
@@ -177,15 +166,14 @@ def evaluate_fewshot(
     the episodes read fewer query images than the view holds, embedding it
     would cost more than it saves, so each query runs the whole network.
 
-    With that cache, and when meta_test adapts only the head with nothing
-    but parameter-free layers before it (`stackable`), the episodes adapt
-    in stacks of up to 100 (`meta_test_stacked`), each classified by one
-    stacked head forward, with the bytes of per-episode meta_test.
-    Otherwise each episode runs meta_test on its own, in `jobs` worker
-    processes when jobs > 1; the stacked path ignores `jobs`.  Results are
-    merged by episode index, so jobs > 1 is bit-identical to a serial run.
-    Per-episode accuracies are accumulated in float64 and the mean is
-    computed once.
+    The episodes run in stacks, each adapted by one meta_test call and
+    classified by one query forward.  With that cache, and when meta_test
+    adapts only the head with nothing but parameter-free layers before it
+    (`stackable`), a stack holds up to 100 episodes, with the bytes of
+    per-episode meta_test; otherwise it holds one.  The stacks run in `jobs`
+    worker processes when jobs > 1.  Results are merged by episode index, so
+    jobs > 1 is bit-identical to a serial run.  Per-episode accuracies are
+    accumulated in float64 and the mean is computed once.
     """
     if n_episodes < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -193,14 +181,14 @@ def evaluate_fewshot(
     images = novel_view.images
     feats = _embed(state.network, images, cut, espec.C * espec.Q_query) if cut else images
     args = (state, novel_view, espec, mcfg, seed, feats, cut)
-    if cut and stackable(state, mcfg):
-        accs = [acc for first in range(0, n_episodes, _STACK)
-                for acc in _stacked_accuracies(range(first, min(first + _STACK, n_episodes)), *args)]
-    elif jobs > 1:
+    size = _STACK if cut and stackable(state, mcfg) else 1
+    stacks = [range(first, min(first + size, n_episodes)) for first in range(0, n_episodes, size)]
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=args) as pool:
-            accs = list(pool.map(_pool_episode, range(n_episodes), chunksize=max(1, n_episodes // (4 * jobs))))
+            parts = list(pool.map(_pool_accuracies, stacks, chunksize=max(1, len(stacks) // (4 * jobs))))
     else:
-        accs = [_episode_accuracy(i, *args) for i in range(n_episodes)]
+        parts = [_accuracies(stack, *args) for stack in stacks]
+    accs = [acc for part in parts for acc in part]
     acc_array = np.asarray(accs, dtype=np.float64)
     mean, halfwidth = ci95(acc_array)
     return EvalReport(

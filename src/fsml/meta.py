@@ -138,9 +138,6 @@ class KnowledgeState:
         self.w_values = {pid: values[pid] for pid in self.partition.meta_ids}
         self.theta_values = {pid: values[pid] for pid in self.partition.task_ids}
 
-    def restore(self) -> None:
-        self.network.load_values({**self.w_values, **self.theta_values})
-
     def specs(self) -> tuple[DropoutSpec, ...]:
         return (self.meta_dropout,) if self.meta_dropout is not None else ()
 
@@ -481,37 +478,13 @@ def _test_specs(state: KnowledgeState, cfg: MetaTestConfig) -> tuple[DropoutSpec
     return state.specs() + ((cfg.task_dropout,) if cfg.task_dropout is not None else ())
 
 
-@ops.one_blas_thread()
-def meta_test(state: KnowledgeState, support: Batch, cfg: MetaTestConfig, rng: Rng) -> KnowledgeState:
-    """Adapt a trained state to one novel task; returns a new state.
-
-    The head is reshaped to the task's class count and freshly initialized;
-    with freeze_meta only task ids move, so meta-knowledge stays bitwise
-    intact.  Meta-dropout never fires here (wrong stage); cfg.task_dropout is
-    the ordinary-dropout knob for the adaptation forwards.
-    """
-    n_way = _n_way(support)
-    adapted = state.clone()
-    adapted.network.reshape_head(n_way, rng.derive("head-init"))
-    adapted.snapshot()
-    specs = _test_specs(adapted, cfg)
-    validate_specs(adapted.network, specs)
-    if cfg.finetune_steps > 0:
-        _sgd_passes(
-            adapted, support, cfg.finetune_steps, cfg.finetune_lr, STAGE_META_TESTING,
-            specs, rng.derive("adapt-masks"), _adapted_ids(adapted.partition, cfg),
-        )
-    adapted.snapshot()
-    return adapted
-
-
 def stackable(state: KnowledgeState, cfg: MetaTestConfig) -> bool:
     """Whether meta_test's passes run only the head and parameter-free layers.
 
-    Then the passes of many episodes can share one stacked forward
-    (`meta_test_stacked`): everything they run before the head works row by
-    row, and the head keeps one slice per episode.  That needs freeze_meta
-    and a partition whose task knowledge is the head alone.
+    Then the passes of many episodes can share one stacked forward: everything
+    they run before the head works row by row, and the head keeps one slice
+    per episode.  That needs freeze_meta and a partition whose task knowledge
+    is the head alone.
     """
     net = state.network
     k, at_mask = _adapt_cut(net, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
@@ -519,39 +492,53 @@ def stackable(state: KnowledgeState, cfg: MetaTestConfig) -> bool:
 
 
 @ops.one_blas_thread()
-def meta_test_stacked(state: KnowledgeState, supports, cfg: MetaTestConfig, rngs) -> KnowledgeState:
-    """meta_test on E episodes at once; returns one state whose head holds E heads.
+def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> KnowledgeState:
+    """Adapt a trained state to one novel task, or to E at once; returns a new state.
 
-    Needs `stackable(state, cfg)`.  Head slice e is bitwise the head of
-    meta_test(state, supports[e], cfg, rngs[e]): each episode draws its head
+    The head is reshaped to the task's class count and freshly initialized;
+    with freeze_meta only task ids move, so meta-knowledge stays bitwise
+    intact.  Meta-dropout never fires here (wrong stage); cfg.task_dropout is
+    the ordinary-dropout knob for the adaptation forwards.
+
+    Given E support sets and a list of E rngs instead of one of each, the
+    returned head holds E heads, and head slice e is bitwise the head of
+    meta_test(state, support[e], cfg, rng[e]): each episode draws its head
     init and its masks from its own streams, and its support forward up to
     the frozen prefix's end runs on its own, so every GEMM there keeps its
-    row count.  Only the passes from there on, and the head, are stacked.
-    `supports` is read once, in order, and no support set is kept, so a
-    generator holds one episode's images at a time.
+    row count.  Only the passes from there on are stacked, which for E > 1
+    needs `stackable(state, cfg)`; E = 1 suits every config.  The support
+    sets are read once, in order, and none is kept, so a generator holds one
+    episode's images at a time.
     """
-    if not stackable(state, cfg):
-        raise ContractError("meta_test_stacked needs freeze_meta and only parameter-free layers before the head")
+    one = isinstance(rng, Rng)
+    supports, rngs = ([support], [rng]) if one else (support, list(rng))
+    if len(rngs) > 1 and not stackable(state, cfg):
+        raise ContractError("meta_test on more than one episode needs freeze_meta "
+                            "and only parameter-free layers before the head")
     adapted = state.clone()
-    net, ids = adapted.network, adapted.partition.task_ids
+    net, ids = adapted.network, _adapted_ids(adapted.partition, cfg)
     specs = _test_specs(adapted, cfg)
     validate_specs(net, specs)
     cut = _adapt_cut(net, ids, STAGE_META_TESTING, specs)
-    mask_rngs = [rng.derive("adapt-masks") for rng in rngs]
+    mask_rngs = [r.derive("adapt-masks") for r in rngs]
     ways, xs, ys = set(), [], []
-    for support, rng in zip(supports, mask_rngs):
-        ways.add(_n_way(support))
+    for episode_support, mask_rng in zip(supports, mask_rngs):
+        ways.add(_n_way(episode_support))
         if cfg.finetune_steps > 0:
-            xs.append(_to_cut(net, support.x, STAGE_META_TESTING, specs, rng, cut).data)
-        ys.append(support.y)
+            xs.append(_to_cut(net, episode_support.x, STAGE_META_TESTING, specs, mask_rng, cut).data)
+        ys.append(episode_support.y)
     if len(ys) != len(rngs):
         raise ContractError(f"{len(ys)} support sets for {len(rngs)} rngs")
     if len(ways) != 1 or len({len(y) for y in ys}) != 1:
         raise ContractError("stacked episodes need one class count and one support size")
-    net.reshape_head(ways.pop(), [rng.derive("head-init") for rng in rngs])
+
+    def form(items, stack=list):  # one episode's item as it is, or E of them stacked
+        return items[0] if one else stack(items)
+
+    net.reshape_head(ways.pop(), form([r.derive("head-init") for r in rngs]))
     if cfg.finetune_steps > 0:
-        _descend(adapted, Tensor(np.concatenate(xs)), np.stack(ys), cut, cfg.finetune_steps, cfg.finetune_lr,
-                 STAGE_META_TESTING, specs, mask_rngs, ids)
+        _descend(adapted, Tensor(form(xs, np.concatenate)), form(ys, np.stack), cut, cfg.finetune_steps,
+                 cfg.finetune_lr, STAGE_META_TESTING, specs, form(mask_rngs), ids)
     adapted.snapshot()
     return adapted
 

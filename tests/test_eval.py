@@ -33,7 +33,6 @@ from fsml.meta import (
     TrainConfig,
     meta_test,
     meta_test_prefix,
-    meta_test_stacked,
     meta_train_pretrain,
 )
 from fsml.nn import (
@@ -231,14 +230,15 @@ def reference_episodes(state, view, espec, mcfg, n_episodes, seed):
     Returns the per-episode accuracies, query logits and adapted head values.
     """
     accs, logits, heads = [], [], []
-    for i in range(n_episodes):
-        ep_rng = Rng(seed).derive(f"eval-episode-{i}")
-        episode = sample_episode(view, espec, ep_rng.derive("sample"))
-        adapted = meta_test(state, episode.support, mcfg, ep_rng)
-        out = forward(adapted.network, episode.query.x, MODE_EVAL, STAGE_META_TESTING).data
-        accs.append(float((np.argmax(out, axis=1) == episode.query.y).mean()))
-        logits.append(out)
-        heads.append(head_values(adapted.network))
+    with ops.one_blas_thread():  # as evaluate_fewshot runs its forwards
+        for i in range(n_episodes):
+            ep_rng = Rng(seed).derive(f"eval-episode-{i}")
+            episode = sample_episode(view, espec, ep_rng.derive("sample"))
+            adapted = meta_test(state, episode.support, mcfg, ep_rng)
+            out = forward(adapted.network, episode.query.x, MODE_EVAL, STAGE_META_TESTING).data
+            accs.append(float((np.argmax(out, axis=1) == episode.query.y).mean()))
+            logits.append(out)
+            heads.append(head_values(adapted.network))
     return tuple(accs), logits, heads
 
 
@@ -276,20 +276,14 @@ def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypa
         logits.append(rows)
         return accuracy(rows, query_y)
 
-    def recording_meta_test(*args):
+    def recording_meta_test(*args):  # every stack adapts here; its head holds one slice per episode
         adapted = meta_test(*args)
-        heads.append(head_values(adapted.network))
-        return adapted
-
-    def recording_meta_test_stacked(*args):
-        adapted = meta_test_stacked(*args)
         n_stacked = len(next(iter(adapted.network.head.params().values())).data)
         heads.extend(head_values(adapted.network, e) for e in range(n_stacked))
         return adapted
 
     monkeypatch.setattr(evaluate_module, "_accuracy", recording_accuracy)
     monkeypatch.setattr(evaluate_module, "meta_test", recording_meta_test)
-    monkeypatch.setattr(evaluate_module, "meta_test_stacked", recording_meta_test_stacked)
     # query sets of 20, 15 and 6 images; at 6, rows from larger batches differ.
     # One episode reads fewer query images than the 63 of the view, so it skips the cache
     for espec in (EpisodeSpec(C=5, K=1, Q_query=4), EpisodeSpec(C=3, K=2, Q_query=5),
@@ -317,6 +311,35 @@ def test_stacks_of_any_size_give_the_same_report(trained_32px, monkeypatch, stac
     whole = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2)
     monkeypatch.setattr(evaluate_module, "_STACK", stack)
     assert evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2) == whole
+
+
+# case -> (meta-test config, n_episodes, stack size, expected meta_test calls)
+META_TEST_CALL_CASES = {
+    "stackable, cached": (_FROZEN, 12, 5, 3),
+    "stackable, cached, one stack": (_FROZEN, 12, 100, 1),
+    "unfrozen": (replace(_FROZEN, freeze_meta=False, finetune_lr=0.1), 12, 5, 12),
+    "conv3 task dropout": (replace(_FROZEN, task_dropout=_task_drop("conv3")), 7, 5, 7),
+    "short, uncached": (_FROZEN, 2, 5, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(META_TEST_CALL_CASES))
+def test_evaluate_makes_one_meta_test_call_per_stack(trained_32px, monkeypatch, case):
+    mcfg, n, stack, want = META_TEST_CALL_CASES[case]
+    state, novel = trained_32px
+    espec = EpisodeSpec(C=5, K=1, Q_query=4)  # 20 query images an episode, against 63 in the view
+    assert (case == "short, uncached") == (n * espec.C * espec.Q_query < novel.n_samples)
+    stacks = []
+
+    def counting_meta_test(state, supports, mcfg, rngs):
+        stacks.append(len(rngs))
+        return meta_test(state, supports, mcfg, rngs)
+
+    monkeypatch.setattr(evaluate_module, "_STACK", stack)
+    monkeypatch.setattr(evaluate_module, "meta_test", counting_meta_test)
+    evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
+    assert len(stacks) == want
+    assert sum(stacks) == n
 
 
 def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):

@@ -97,16 +97,6 @@ def test_state_partition_must_cover_network():
         KnowledgeState(net, bad)
 
 
-def test_state_snapshot_restore_roundtrip():
-    state = make_state()
-    before = {k: v.copy() for k, v in state.network.values().items()}
-    for t in state.network.params().values():
-        t.data += 1.0
-    state.restore()
-    after = state.network.values()
-    assert all(np.array_equal(before[k], after[k]) for k in before)
-
-
 def test_state_clone_independent():
     state = make_state()
     twin = state.clone()
@@ -610,7 +600,8 @@ def test_meta_test_prefix_shortcut_equals_full_passes(case, monkeypatch):
         return adapted, report.per_episode_acc
 
     fast_values, fast_accs = run()
-    monkeypatch.setattr(meta_module, "_sgd_passes", reference_sgd_passes)
+    # no shortcut: full forwards on every step, and so one episode per stack
+    monkeypatch.setattr(meta_module, "_adapt_cut", lambda *args: (0, False))
     slow_values, slow_accs = run()
     assert fast_values.keys() == slow_values.keys()
     assert all(np.array_equal(fast_values[k], slow_values[k]) for k in fast_values)
