@@ -34,6 +34,7 @@ from .evaluate import (
     write_ablation_csv,
 )
 from .meta import KnowledgeState, meta_train
+from .ops import blas_build
 from .oracle import run_all_gates
 
 log = logging.getLogger("fsml")
@@ -98,6 +99,7 @@ def cmd_train(args) -> int:
             "config_hash": cfg.config_hash,
             "regime": cfg.regime,
             "seed": seed,
+            **blas_build(),
         }
         _atomic_write(out / f"ckpt_seed{seed}.fsml", dump_params(state.network.values()))
         _atomic_write(out / f"ckpt_seed{seed}.meta.json",
@@ -120,19 +122,25 @@ def cmd_eval(args) -> int:
         ckpt_path = out / f"ckpt_seed{seed}.fsml"
         meta_path = out / f"ckpt_seed{seed}.meta.json"
         params = load_checkpoint(ckpt_path)
+        sidecar = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         if not args.force:
             if not meta_path.exists():
                 raise ConfigurationError(
                     f"{meta_path.name} is missing, so the architecture of {ckpt_path.name} "
                     f"cannot be checked; pass --force to evaluate anyway"
                 )
-            recorded = json.loads(meta_path.read_text()).get("arch_hash", "")
+            recorded = sidecar.get("arch_hash", "")
             expected = factory.arch_hash()
             if recorded != expected:
                 raise ConfigurationError(
                     f"{ckpt_path.name} records architecture {recorded[:12]} but the eval "
                     f"config builds {expected[:12]}; pass --force to evaluate anyway"
                 )
+        trained_on, here = sidecar.get("openblas_corename"), blas_build()["openblas_corename"]
+        if trained_on and trained_on != here:
+            log.warning("%s was trained on the OpenBLAS %s kernel and is evaluated on %s; "
+                        "GEMM results, and so the report, can differ in their last bits",
+                        ckpt_path.name, trained_on, here or "another BLAS")
         net, partition = factory(seed)
         apply_checkpoint(net, params)
         state = KnowledgeState(network=net, partition=partition, loss=cfg.train.loss,

@@ -31,7 +31,7 @@ from .meta import (
     meta_test,
     meta_test_prefix,
     meta_train,
-    stackable,
+    step_start,
 )
 from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
 from .rng import Rng
@@ -109,9 +109,24 @@ def _accuracy(logits: np.ndarray, query_y: np.ndarray) -> float:
     return float((np.argmax(logits, axis=1) == query_y).mean())
 
 
-# episodes adapted in one stack: enough to spread each step's Python cost
-# thin, few enough to bound the stacked arrays whatever n_episodes is
+# episodes adapted in one stack whose steps run only the head: enough to
+# spread each step's Python cost thin, few enough to bound the stacked arrays
+# whatever n_episodes is
 _STACK = 100
+# the floats of support input a stack's first conv reads per step, at most;
+# larger stacks of 32x32 images got slower as their conv activations left the
+# cache (README, "Meta-test cost")
+_CONV_STACK_FLOATS = 1 << 15
+
+
+def _stack_size(state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig) -> int:
+    """The episodes of one stack: _STACK when meta_test's steps run only the head, else _CONV_STACK_FLOATS' worth."""
+    net = state.network
+    start = step_start(state, mcfg)
+    if start == len(net.layers) - 1:
+        return _STACK
+    floats = espec.C * espec.K * int(np.prod(net.in_shape(start)))
+    return max(1, min(_STACK, _CONV_STACK_FLOATS // floats))
 
 
 def _accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
@@ -167,21 +182,24 @@ def evaluate_fewshot(
     would cost more than it saves, so each query runs the whole network.
 
     The episodes run in stacks, each adapted by one meta_test call and
-    classified by one query forward.  With that cache, and when meta_test
-    adapts only the head with nothing but parameter-free layers before it
-    (`stackable`), a stack holds up to 100 episodes, with the bytes of
-    per-episode meta_test; otherwise it holds one.  The stacks run in `jobs`
-    worker processes when jobs > 1.  Results are merged by episode index, so
-    jobs > 1 is bit-identical to a serial run.  Per-episode accuracies are
-    accumulated in float64 and the mean is computed once.
+    classified by one query forward, with the bytes of per-episode
+    meta_test in every config.  A stack holds up to 100 episodes when
+    meta_test's steps run only the head, and fewer when they run a conv
+    (`_stack_size`); a short evaluation runs stacks of one.  The stacks run
+    in `jobs` worker processes when jobs > 1.  Results are merged by episode
+    index, so jobs > 1 is bit-identical to a serial run.  Per-episode
+    accuracies are accumulated in float64 and the mean is computed once.
     """
     if n_episodes < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
-    cut = meta_test_prefix(state, mcfg) if n_episodes * espec.C * espec.Q_query >= novel_view.n_samples else 0
+    if jobs < 1:
+        raise ContractError(f"jobs must be >= 1, got {jobs}")
+    short = n_episodes * espec.C * espec.Q_query < novel_view.n_samples
+    cut = 0 if short else meta_test_prefix(state, mcfg)
     images = novel_view.images
     feats = _embed(state.network, images, cut, espec.C * espec.Q_query) if cut else images
     args = (state, novel_view, espec, mcfg, seed, feats, cut)
-    size = _STACK if cut and stackable(state, mcfg) else 1
+    size = 1 if short else _stack_size(state, espec, mcfg)
     stacks = [range(first, min(first + size, n_episodes)) for first in range(0, n_episodes, size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=args) as pool:
@@ -318,6 +336,8 @@ def run_ablation(grid: AblationGrid, assets: AblationAssets, seeds, jobs: int = 
     With jobs > 1 each worker receives `assets` once, and each task only its
     (cell, seed).
     """
+    if jobs < 1:
+        raise ContractError(f"jobs must be >= 1, got {jobs}")
     work = [(cell, seed) for cell in grid.cells() for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(assets,)) as pool:

@@ -478,19 +478,6 @@ def _test_specs(state: KnowledgeState, cfg: MetaTestConfig) -> tuple[DropoutSpec
     return state.specs() + ((cfg.task_dropout,) if cfg.task_dropout is not None else ())
 
 
-def stackable(state: KnowledgeState, cfg: MetaTestConfig) -> bool:
-    """Whether meta_test's passes run only the head and parameter-free layers.
-
-    Then the passes of many episodes can share one stacked forward: everything
-    they run before the head works row by row, and the head keeps one slice
-    per episode.  That needs freeze_meta and a partition whose task knowledge
-    is the head alone.
-    """
-    net = state.network
-    k, at_mask = _adapt_cut(net, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
-    return not any(layer.params() for layer in net.layers[k + 1 if at_mask else k : -1])
-
-
 @ops.one_blas_thread()
 def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> KnowledgeState:
     """Adapt a trained state to one novel task, or to E at once; returns a new state.
@@ -500,21 +487,22 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> Knowl
     intact.  Meta-dropout never fires here (wrong stage); cfg.task_dropout is
     the ordinary-dropout knob for the adaptation forwards.
 
-    Given E support sets and a list of E rngs instead of one of each, the
-    returned head holds E heads, and head slice e is bitwise the head of
-    meta_test(state, support[e], cfg, rng[e]): each episode draws its head
-    init and its masks from its own streams, and its support forward up to
-    the frozen prefix's end runs on its own, so every GEMM there keeps its
-    row count.  Only the passes from there on are stacked, which for E > 1
-    needs `stackable(state, cfg)`; E = 1 suits every config.  The support
+    Given E support sets and a list of E rngs instead of one of each, one
+    tape adapts all E episodes, in every config.  The returned head holds E
+    heads, and every other layer the adaptation steps run with parameters
+    (from `step_start` on) holds E slices of them: copies of the trained ones where
+    they adapt, a read-only broadcast where they do not.  Slice e of every
+    parameter is bitwise that of meta_test(state, support[e], cfg, rng[e]):
+    each episode draws its head init and its masks from its own streams, its
+    support forward up to the adaptation cut runs on its own, and every GEMM
+    after the cut is one slice of a batched matmul with that episode's own
+    shape.  The layers before the cut keep their one set of parameters.  The
+    episodes must share one class count and one support size.  The support
     sets are read once, in order, and none is kept, so a generator holds one
     episode's images at a time.
     """
     one = isinstance(rng, Rng)
     supports, rngs = ([support], [rng]) if one else (support, list(rng))
-    if len(rngs) > 1 and not stackable(state, cfg):
-        raise ContractError("meta_test on more than one episode needs freeze_meta "
-                            "and only parameter-free layers before the head")
     adapted = state.clone()
     net, ids = adapted.network, _adapted_ids(adapted.partition, cfg)
     specs = _test_specs(adapted, cfg)
@@ -536,11 +524,26 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> Knowl
         return items[0] if one else stack(items)
 
     net.reshape_head(ways.pop(), form([r.derive("head-init") for r in rngs]))
+    if not one:
+        e = len(rngs)
+        for layer in net.layers[step_start(adapted, cfg) : -1]:
+            for pid, t in layer.params().items():
+                t.data = np.stack([t.data] * e) if pid in ids else np.broadcast_to(t.data, (e, *t.shape))
     if cfg.finetune_steps > 0:
         _descend(adapted, Tensor(form(xs, np.concatenate)), form(ys, np.stack), cut, cfg.finetune_steps,
                  cfg.finetune_lr, STAGE_META_TESTING, specs, form(mask_rngs), ids)
     adapted.snapshot()
     return adapted
+
+
+def step_start(state: KnowledgeState, cfg: MetaTestConfig) -> int:
+    """The index of the first layer with parameters that each adaptation step of meta_test runs.
+
+    It is the head's index when the steps run nothing else with parameters.
+    """
+    net = state.network
+    k, at_mask = _adapt_cut(net, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
+    return next(i for i in range(k + at_mask, len(net.layers)) if net.layers[i].params())
 
 
 def _adapted_ids(partition: ParamPartition, cfg: MetaTestConfig) -> tuple[str, ...]:

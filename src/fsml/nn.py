@@ -251,7 +251,12 @@ def _episode_rows(x: Tensor, param: Tensor) -> Tensor:
 
 
 class Conv3x3Block(_Layer):
-    """conv 3x3 (stride 1, pad 1) -> relu -> [mask] -> maxpool 2x2."""
+    """conv 3x3 (stride 1, pad 1) -> relu -> [mask] -> maxpool 2x2.
+
+    It may hold E blocks at once, weight [E, c_out, c_in, 3, 3] and bias
+    [E, c_out]: it then reads its [E*B, c_in, h, w] input as E episodes of B
+    images, and returns their E*B maps in order.
+    """
 
     def __init__(self, tag: str, weight: Tensor, bias: Tensor):
         self.tag = tag
@@ -269,9 +274,9 @@ class Conv3x3Block(_Layer):
 
     def shapes(self, in_shape):
         c, h, w = in_shape
-        co = self.weight.shape[0]
-        if self.weight.shape[1] != c:
-            raise ConfigurationError(f"layer {self.tag} expects {self.weight.shape[1]} channels, gets {c}")
+        co, ci = self.weight.shape[-4:-2]
+        if ci != c:
+            raise ConfigurationError(f"layer {self.tag} expects {ci} channels, gets {c}")
         if h % 2 or w % 2:
             raise ConfigurationError(f"layer {self.tag} pools an odd extent {h}x{w}")
         return (co, h, w), (co, h // 2, w // 2)
@@ -432,6 +437,10 @@ class Network:
     def mask_shape(self, tag: str) -> tuple[int, ...]:
         return self._mask_shapes[tag]
 
+    def in_shape(self, k: int) -> tuple[int, ...]:
+        """The shape of one sample's input to layer k."""
+        return self._in_shapes[k]
+
     def bind(self, tape: Tape | None) -> None:
         for pid, t in self.params().items():
             if tape is None:
@@ -574,7 +583,7 @@ def forward(
     if not 0 <= 2 * start + start_at_mask < 2 * stop + stop_at_mask <= 2 * n:
         raise ContractError(f"layer range [{start}, {stop}) is not a non-empty range of {n} layers")
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    in_shape = net.mask_shape(net.layers[start].tag) if start_at_mask else net._in_shapes[start]
+    in_shape = net.mask_shape(net.layers[start].tag) if start_at_mask else net.in_shape(start)
     if x.data.ndim != len(in_shape) + 1 or x.shape[1:] != in_shape:
         raise DimensionError(f"batch shape {x.shape} does not match input shape {in_shape} of layer {start}")
     validate_specs(net, specs)

@@ -8,8 +8,12 @@ per-channel vector over the remaining axes.
 The head ops (matmul, bias_add, softmax_cross_entropy, and nn.cosine_logits)
 also take every operand with one leading episode axis [E, ...]: slice e of
 the result, and of each gradient, is the op on slice e of the operands, and
-the loss is the sum of the E per-episode losses.  One tape then runs E
-independent heads.
+the loss is the sum of the E per-episode losses.  conv2d and bias_add take
+that axis on their parameters alone: the feature maps stay [E*B, C, H, W],
+E episodes' B images in order, and episode e's images meet kernel and bias
+slice e.  Every GEMM of a stacked op is one slice of a batched matmul with
+the shape of that episode's own GEMM, so slice e keeps the bits of the
+unstacked op.  One tape then runs E independent networks.
 """
 
 from __future__ import annotations
@@ -75,29 +79,47 @@ def _trace(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...], grad_fns,
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of numpy's bundled OpenBLAS thread count; None for any other BLAS."""
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, its calls typed; None for any other BLAS."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
     for path in glob.glob(libs):
         try:
             lib = ctypes.CDLL(path)
             get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            config, corename = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        config.argtypes = corename.argtypes = []
+        config.restype = corename.restype = ctypes.c_char_p
+        return lib
     return None
+
+
+def blas_build() -> dict:
+    """The numpy version, and the build and run-time kernel of numpy's bundled OpenBLAS.
+
+    The last two are None for any other BLAS.  Result bytes are the same for
+    the same seed, numpy, OpenBLAS build and kernel; a different kernel can
+    change the last bits of a GEMM.
+    """
+    lib = _openblas()
+    return {
+        "numpy_version": np.__version__,
+        "openblas_config": None if lib is None else lib.scipy_openblas_get_config64_().decode(),
+        "openblas_corename": None if lib is None else lib.scipy_openblas_get_corename64_().decode(),
+    }
 
 
 def set_blas_threads(n: int) -> int:
     """Run the bundled OpenBLAS on `n` threads; returns the count before, or `n` for any other BLAS."""
-    blas = _openblas_threads()
-    if blas is None:
+    lib = _openblas()
+    if lib is None:
         return n
-    before = blas[0]()
+    before = lib.scipy_openblas_get_num_threads64_()
     if before != n:
-        blas[1](n)
+        lib.scipy_openblas_set_num_threads64_(n)
     return before
 
 
@@ -140,13 +162,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a bias vector: [B,n]+[n], [B,C,H,W]+[C] or [C,H,W]+[C]; per episode [E,B,n]+[E,n]."""
+    """Add a bias vector: [B,n]+[n], [B,C,H,W]+[C] or [C,H,W]+[C].
+
+    Per episode: [E,B,n]+[E,n], or [E*B,C,H,W]+[E,C], where episode e's B
+    maps get bias slice e.
+    """
     nd = x.data.ndim
     if b.data.ndim == 2 and nd == 3 and x.shape[0] == b.shape[0] and x.shape[2] == b.shape[1]:
         out = x.data + b.data[:, None, :]
         return _trace("bias_add", out, (x, b), (lambda g: g, lambda g: g.sum(axis=1)))
+    if b.data.ndim == 2 and nd == 4 and x.shape[0] % b.shape[0] == 0 and x.shape[1] == b.shape[1]:
+        episodes = (b.shape[0], -1, *x.shape[1:])
+        out = (x.data.reshape(episodes) + b.data[:, None, :, None, None]).reshape(x.shape)
+        return _trace("bias_add", out, (x, b), (lambda g: g, lambda g: g.reshape(episodes).sum(axis=(1, 3, 4))))
     if b.data.ndim != 1:
-        raise DimensionError(f"bias must be a vector, or [E, n] on [E, B, n], got shape {b.shape} on {x.shape}")
+        raise DimensionError(f"bias must be a vector, or [E, n] on [E, B, n] or [E*B, n, H, W], "
+                             f"got shape {b.shape} on {x.shape}")
     if nd == 2 and x.shape[1] == b.shape[0]:
         out = x.data + b.data
         reduce_axes = (0,)
@@ -218,42 +249,48 @@ def _as_batched(x: Tensor, min_rank: int):
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [C,H,W] (or [B,C,H,W]) with kernel [c_out,C,kh,kw].
 
-    Output spatial extent follows h' = floor((h + 2*pad - kh) / stride) + 1.
+    Per episode, [E*B,C,H,W] with kernel [E,c_out,C,kh,kw] correlates
+    episode e's B images with kernel slice e: one im2col over all E*B images,
+    then one batched matmul whose slice e is episode e's own GEMM.  Output
+    spatial extent follows h' = floor((h + 2*pad - kh) / stride) + 1.
     Differentiable in both the input and the kernel.
     """
     if stride < 1 or pad < 0:
         raise DimensionError(f"need stride >= 1 and pad >= 0, got {stride}, {pad}")
-    if kernel.data.ndim != 4:
-        raise DimensionError(f"kernel must be [c_out,c_in,kh,kw], got {kernel.shape}")
+    if kernel.data.ndim not in (4, 5):
+        raise DimensionError(f"kernel must be [c_out,c_in,kh,kw] or [E,c_out,c_in,kh,kw], got {kernel.shape}")
     xd, squeeze = _as_batched(x, 3)
     bsz, c_in, h, w = xd.shape
-    c_out, kc, kh, kw = kernel.shape
+    *episodes, c_out, kc, kh, kw = kernel.shape
     if kc != c_in:
         raise DimensionError(f"kernel expects {kc} input channels, input has {c_in}")
+    if episodes and bsz % episodes[0]:
+        raise DimensionError(f"{bsz} images do not split into {episodes[0]} episodes")
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise DimensionError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
 
     # im2col: row (b, y, x) of cols holds the window at output (y, x) in (c, i, j)
-    # order, filled by one strided copy per tap from a padded channels-last copy
+    # order, filled by one strided copy per tap from a padded channels-last copy;
+    # with E episodes, cols and kmat are [E, rows, k] and [E, c_out, k]
     xt = np.zeros((bsz, h + 2 * pad, w + 2 * pad, c_in), dtype=xd.dtype)
     xt[:, pad : pad + h, pad : pad + w] = xd.transpose(0, 2, 3, 1)
     cols = np.empty((bsz, oh, ow, c_in, kh, kw), dtype=xd.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[..., i, j] = xt[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    cols = cols.reshape(bsz * oh * ow, c_in * kh * kw)
-    kmat = kernel.data.reshape(c_out, -1)
-    out = (cols @ kmat.T).reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
+    cols = cols.reshape(*episodes, -1, c_in * kh * kw)
+    kmat = kernel.data.reshape(*episodes, c_out, -1)
+    out = (cols @ _mT(kmat)).reshape(bsz, oh, ow, c_out).transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out)
 
     kshape = kernel.shape
 
     def out_grad_rows(g):
-        # the [B*oh*ow, c_out] matrix of the output gradient, shared by both gradients
+        # the [(E,) rows, c_out] matrix of the output gradient, shared by both gradients
         gb = g[None] if squeeze else g
-        return gb.transpose(0, 2, 3, 1).reshape(bsz * oh * ow, c_out)
+        return gb.transpose(0, 2, 3, 1).reshape(*episodes, -1, c_out)
 
     def grad_x(gm):
         # col2im: add the taps in (i, j) order into a padded channels-last buffer
@@ -266,7 +303,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         return dx[0] if squeeze else dx
 
     def grad_k(gm):
-        return (gm.T @ cols).reshape(kshape)
+        return (_mT(gm) @ cols).reshape(kshape)
 
     return _trace("conv2d", out[0] if squeeze else out, (x, kernel), (grad_x, grad_k), out_grad_rows)
 

@@ -219,6 +219,9 @@ def _op_cases(rng: Rng):
         "matmul_stacked": (2, 4, 3), "matmul_stacked_right": (2, 3, 5), "bias_add_stacked": (2, 5),
         "softmax_cross_entropy_stacked": (2, 3, 4),
         "cosine_logits_features_stacked": (2, 3, 6), "cosine_logits_vectors_stacked": (2, 4, 6),
+        # conv2d and bias_add with the episode axis on their parameters: 2 episodes of 2 maps
+        "conv2d_stacked_input": (4, 2, 5, 5), "conv2d_stacked_kernel": (2, 3, 2, 3, 3),
+        "bias_add_stacked_maps": (2, 3),
     }
     # drawn from their own stream, so the operands of the cases above do not move
     srng = rng.derive("stacked")
@@ -228,6 +231,10 @@ def _op_cases(rng: Rng):
     vecs_stacked = Tensor(srng.normal_array((2, 4, 6)))
     feats_stacked = Tensor(srng.normal_array((2, 3, 6)))
     targets_stacked = np.array([[1, 0, 3], [2, 2, 0]])
+    crng = rng.derive("stacked-conv")
+    conv_x_stacked = Tensor(crng.normal_array((4, 2, 5, 5)))
+    kernel_stacked = Tensor(crng.normal_array((2, 3, 2, 3, 3)))
+    maps_stacked = Tensor(crng.normal_array((4, 3, 2, 2)))
 
     def total(t: Tensor) -> Tensor:
         # reduce any output to a scalar through a fixed random weighting
@@ -256,6 +263,9 @@ def _op_cases(rng: Rng):
         "softmax_cross_entropy_stacked": lambda v: ops.softmax_cross_entropy(v, targets_stacked),
         "cosine_logits_features_stacked": lambda v: total(cosine_logits(v, vecs_stacked, 10.0)),
         "cosine_logits_vectors_stacked": lambda v: total(cosine_logits(feats_stacked, v, 10.0)),
+        "conv2d_stacked_input": lambda v: total(ops.conv2d(v, kernel_stacked, stride=1, pad=1)),
+        "conv2d_stacked_kernel": lambda v: total(ops.conv2d(conv_x_stacked, v, stride=1, pad=1)),
+        "bias_add_stacked_maps": lambda v: total(ops.bias_add(maps_stacked, v)),
     }
     return weights, cases
 

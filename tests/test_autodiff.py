@@ -157,6 +157,42 @@ def test_stacked_bias_add_grad_both_operands():
     check_op(lambda t: ops.squared_error(ops.bias_add(x, t), target), b.data)
 
 
+def test_stacked_conv2d_grad_both_operands():
+    # E = 2 episodes of 3 images, kernel [E, c_out, c_in, kh, kw]
+    rng = Rng(15)
+    x = Tensor(rng.normal_array((6, 2, 5, 5)))
+    k = Tensor(rng.normal_array((2, 3, 2, 3, 3)))
+    target = Tensor(rng.normal_array((6, 3, 5, 5)))
+    check_op(lambda t: ops.squared_error(ops.conv2d(t, k, 1, 1), target), x.data, tol=1e-5)
+    check_op(lambda t: ops.squared_error(ops.conv2d(x, t, 1, 1), target), k.data, tol=1e-5)
+    # slice e of the output is episode e's images under kernel slice e
+    out = ops.conv2d(x, k, 1, 1).data
+    for e in range(2):
+        want = ops.conv2d(Tensor(x.data[3 * e : 3 * e + 3]), Tensor(k.data[e]), 1, 1).data
+        assert np.allclose(out[3 * e : 3 * e + 3], want, rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_bias_add_on_feature_maps_grad_both_operands():
+    # [E*B, C, H, W] + [E, C]: episode e's B maps get bias slice e
+    rng = Rng(16)
+    x = Tensor(rng.normal_array((6, 4, 3, 2)))
+    b = Tensor(rng.normal_array((3, 4)))
+    target = Tensor(rng.normal_array((6, 4, 3, 2)))
+    check_op(lambda t: ops.squared_error(ops.bias_add(t, b), target), x.data)
+    check_op(lambda t: ops.squared_error(ops.bias_add(x, t), target), b.data)
+    out = ops.bias_add(x, b).data
+    assert np.array_equal(out[2:4], x.data[2:4] + b.data[1][:, None, None])
+
+
+def test_stacked_conv_ops_reject_images_that_do_not_split_into_episodes():
+    from fsml.errors import DimensionError
+
+    with pytest.raises(DimensionError, match="episodes"):
+        ops.conv2d(Tensor(np.zeros((5, 2, 4, 4))), Tensor(np.zeros((2, 3, 2, 3, 3))), 1, 1)
+    with pytest.raises(DimensionError):
+        ops.bias_add(Tensor(np.zeros((5, 4, 3, 3))), Tensor(np.zeros((2, 4))))
+
+
 def test_stacked_softmax_cross_entropy_is_the_sum_of_episode_losses():
     rng = Rng(13)
     logits = rng.normal_array((3, 4, 5))

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from fsml import cli
+from fsml import cli, ops
 from fsml.checkpoint import dump_params
 from fsml.cli import main
 from fsml.config import config_hash, load_config, parse_config
@@ -225,7 +225,9 @@ def test_train_twice_byte_identical(tmp_path, capsys):
     assert (tmp_path / "a" / "ckpt_seed0.fsml").read_bytes() == \
         (tmp_path / "b" / "ckpt_seed0.fsml").read_bytes()
     sidecar = json.loads((tmp_path / "a" / "ckpt_seed0.meta.json").read_text())
-    assert set(sidecar) == {"arch_hash", "config_hash", "regime", "seed"}
+    assert set(sidecar) == {"arch_hash", "config_hash", "regime", "seed",
+                            "numpy_version", "openblas_config", "openblas_corename"}
+    assert sidecar["numpy_version"] == np.__version__
     log_lines = (tmp_path / "a" / "train_seed0.jsonl").read_text().strip().splitlines()
     assert len(log_lines) == 1
     entry = json.loads(log_lines[0])
@@ -259,6 +261,24 @@ def test_eval_reports_and_repeats_bitwise(tmp_path, capsys):
     assert len(report["per_episode_acc"]) == 6
     assert main(["eval", "--config", cfg_path]) == 0
     assert report_path.read_bytes() == first
+
+
+def test_eval_warns_when_the_openblas_kernel_differs_from_training(tmp_path, capsys, caplog):
+    cfg_path = write_config(tmp_path, base_config(out=tmp_path / "o"))
+    assert main(["train", "--config", cfg_path]) == 0
+    meta_path = tmp_path / "o" / "ckpt_seed0.meta.json"
+    sidecar = json.loads(meta_path.read_text())
+    assert sidecar["openblas_corename"] == ops.blas_build()["openblas_corename"]
+    caplog.set_level(logging.WARNING, logger="fsml")
+    assert main(["eval", "--config", cfg_path]) == 0
+    assert not [r for r in caplog.records if "kernel" in r.getMessage()]
+    report = (tmp_path / "o" / "eval_seed0.json").read_bytes()
+    meta_path.write_text(json.dumps({**sidecar, "openblas_corename": "NoSuchCore"}))
+    assert main(["eval", "--config", cfg_path]) == 0
+    warned = [r.getMessage() for r in caplog.records if "kernel" in r.getMessage()]
+    assert len(warned) == 1 and "NoSuchCore" in warned[0] and "ckpt_seed0.fsml" in warned[0]
+    # a warning only: the report keeps its bytes
+    assert (tmp_path / "o" / "eval_seed0.json").read_bytes() == report
 
 
 def test_eval_refuses_arch_mismatch_without_force(tmp_path, capsys):

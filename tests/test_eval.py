@@ -307,18 +307,21 @@ def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypa
 def test_stacks_of_any_size_give_the_same_report(trained_32px, monkeypatch, stack):
     state, novel = trained_32px
     espec = EpisodeSpec(C=5, K=1, Q_query=4)
-    mcfg = replace(_FROZEN, task_dropout=_task_drop("conv4"))
-    whole = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2)
+    mcfgs = (replace(_FROZEN, task_dropout=_task_drop("conv4")), replace(_FROZEN, freeze_meta=False, finetune_lr=0.1))
+    wholes = [evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2) for mcfg in mcfgs]
     monkeypatch.setattr(evaluate_module, "_STACK", stack)
-    assert evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2) == whole
+    monkeypatch.setattr(evaluate_module, "_CONV_STACK_FLOATS", 1 << 40)  # conv stacks of `stack` too
+    assert [evaluate_fewshot(state, novel, espec, mcfg, n_episodes=12, seed=2) for mcfg in mcfgs] == wholes
 
 
 # case -> (meta-test config, n_episodes, stack size, expected meta_test calls)
 META_TEST_CALL_CASES = {
     "stackable, cached": (_FROZEN, 12, 5, 3),
     "stackable, cached, one stack": (_FROZEN, 12, 100, 1),
-    "unfrozen": (replace(_FROZEN, freeze_meta=False, finetune_lr=0.1), 12, 5, 12),
-    "conv3 task dropout": (replace(_FROZEN, task_dropout=_task_drop("conv3")), 7, 5, 7),
+    # conv1 reads 5 images of 32x32 a step: 6 episodes hold 30,720 floats, 7 would hold 35,840
+    "unfrozen": (replace(_FROZEN, freeze_meta=False, finetune_lr=0.1), 12, 100, 2),
+    # conv4 reads 5 maps of 8x4x4 a step, so 51 episodes fit; _STACK caps them at 5
+    "conv3 task dropout": (replace(_FROZEN, task_dropout=_task_drop("conv3")), 7, 5, 2),
     "short, uncached": (_FROZEN, 2, 5, 2),
 }
 
@@ -518,6 +521,17 @@ def test_run_cell_missing_template_refused():
     cell = AblationCell("M", "standard", frozenset({"conv4"}), 8, "pretrain_finetune")
     with pytest.raises(ContractError):
         run_cell(cell, assets, seed=0)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_a_named_error(jobs):
+    state, novel = eval_fixture()
+    with pytest.raises(ContractError, match=f"jobs must be >= 1, got {jobs}"):
+        evaluate_fewshot(state, novel, EpisodeSpec(C=2, K=1, Q_query=2), MetaTestConfig(Q=2), n_episodes=2, jobs=jobs)
+    assets = ablation_fixture(n_episodes=2)
+    with pytest.raises(ContractError, match=f"jobs must be >= 1, got {jobs}"):
+        run_ablation(AblationGrid(arms=("none",), kinds=("standard",), batch_sizes=(8,)), assets, seeds=(0,),
+                     jobs=jobs)
 
 
 def test_run_ablation_parallel_equals_serial():

@@ -158,3 +158,48 @@ def test_seed_masks_to_64_bits():
     assert Rng(2 ** 64).seed == 0
     assert Rng(-1).seed == 2 ** 64 - 1
     assert Rng(2 ** 64 + 5).next_u64() == Rng(5).next_u64()
+
+
+# seeds whose state wraps past 2^64 within the first few draws, and ordinary ones
+_WRAP_SEEDS = [(1 << 64) - 1, (1 << 64) - 0x9E3779B97F4A7C15, (-3 * 0x9E3779B97F4A7C15) & ((1 << 64) - 1), 0, 12345]
+
+
+def _randint_from(draws, n):
+    """randint(n)'s rejection rule run over a list of u64 draws, consumed from the front."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        r = int(draws.pop(0))
+        if r < limit:
+            return r % n
+
+
+@pytest.mark.parametrize("seed", _WRAP_SEEDS)
+@pytest.mark.parametrize("shift", [0, 5, -7])
+def test_scalar_draws_match_array_draws_across_wrap_around_and_advance(seed, shift):
+    # the scalar draws of one stream, in order, against one u64_array of the same stream
+    a, b = Rng(seed), Rng(seed)
+    a.advance(shift)
+    b.advance(shift)
+    whole = [int(v) for v in b.u64_array(256)]
+    draws = list(whole)
+    assert [a.next_u64() for _ in range(16)] == draws[:16]
+    del draws[:16]
+    # n = 2^63 + 5 rejects about half of all draws
+    ns = (7, 1, 2**63 + 5, 3)
+    assert [a.randint(n) for n in ns] == [_randint_from(draws, n) for n in ns]
+    pool = list(range(10))
+    for i in range(4):
+        j = i + _randint_from(draws, 10 - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    assert a.choice(10, 4) == pool[:4]
+    items, want = list(range(6)), list(range(6))
+    for i in range(5, 0, -1):
+        j = _randint_from(draws, i + 1)
+        want[i], want[j] = want[j], want[i]
+    a.shuffle(items)
+    assert items == want
+    used = len(whole) - len(draws)
+    a.advance(-3)
+    assert a.next_u64() == whole[used - 3]
+    a.advance(10)
+    assert a.next_u64() == whole[used + 8]

@@ -1,13 +1,15 @@
 """The stacked meta-test: E episodes adapted on one tape equal E runs of meta_test, bit for bit.
 
 meta_test's list form rests on one premise: np.matmul on [E, m, k] stacks,
-and the axis sums of the head ops, give each slice the bits of the 2-D op on
-that slice.  The comparisons here start both paths from the same cached query
-features, so they test that premise alone, not the row invariance of the
-query cache (see tests/test_eval.py).  A stack of one episode runs in every
-config, the ones that do not stack included, and equals the one-episode
-form there too.  The tripwire reruns both comparisons under other OpenBLAS
-kernels.
+the batched GEMMs of a conv whose kernel carries an episode axis, and the
+axis sums of the stacked ops, give each slice the bits of the unstacked op
+on that slice.  The comparisons here start both paths from the same cached
+query features (the images, where nothing is cached), so they test that
+premise alone, not the row invariance of the query cache (see
+tests/test_eval.py).  Every config stacks: head-only adaptation, the whole
+backbone adapting, task dropout in the backbone, and conv4 as task
+knowledge.  A stack of one episode equals the one-episode form too.  The
+tripwire reruns both comparisons under other OpenBLAS kernels.
 """
 
 import json
@@ -22,7 +24,7 @@ import pytest
 from fsml import evaluate, ops
 from fsml.data import EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode
 from fsml.errors import ContractError
-from fsml.meta import KnowledgeState, MetaTestConfig, meta_test, meta_test_prefix, stackable
+from fsml.meta import KnowledgeState, MetaTestConfig, meta_test, meta_test_prefix, step_start
 from fsml.nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, build_conv4, forward, partition_params
 from fsml.rng import Rng
 
@@ -35,8 +37,24 @@ def _task_drop(kind, place, block=1):
     return DropoutSpec(kind, 0.7, frozenset({place}), STAGE_META_TESTING, block)
 
 
-# case -> (head kind, meta-test config, task_l2)
-STACK_CASES = {
+_UNFROZEN = replace(_FROZEN, freeze_meta=False, finetune_lr=0.1)
+# case -> (head kind, meta-test config, meta tags)
+ONE_EPISODE_CASES = {
+    f"{head}, {name}": (head, mcfg, tags)
+    for head in ("cosine", "linear")
+    for name, mcfg, tags in (
+        ("unfrozen", _UNFROZEN, CONV_TAGS),
+        ("unfrozen, dropout on conv2", replace(_UNFROZEN, task_dropout=_task_drop("standard", "conv2")), CONV_TAGS),
+        ("unfrozen, dropblock on conv3", replace(_UNFROZEN, task_dropout=_task_drop("dropblock", "conv3", 3)),
+         CONV_TAGS),
+        ("conv4 is task knowledge", _FROZEN, CONV_TAGS - {"conv4"}),
+        ("frozen, dropout on conv3", replace(_FROZEN, task_dropout=_task_drop("standard", "conv3")), CONV_TAGS),
+        ("frozen", _FROZEN, CONV_TAGS),
+    )
+}
+
+# case -> (head kind, meta-test config, task_l2): the steps run only the head
+_HEAD_ONLY_CASES = {
     "cosine": ("cosine", _FROZEN, 0.0),
     "cosine, standard dropout on conv4": ("cosine", replace(_FROZEN, task_dropout=_task_drop("standard", "conv4")), 0.0),
     "cosine, dropblock on conv4": ("cosine", replace(_FROZEN, task_dropout=_task_drop("dropblock", "conv4", 3)), 0.0),
@@ -45,6 +63,12 @@ STACK_CASES = {
     "cosine, dropout on the logits": ("cosine", replace(_FROZEN, task_dropout=_task_drop("standard", "head")), 0.0),
     "linear, ridge": ("linear", _FROZEN, 0.01),
     "linear, dropout on conv4": ("linear", replace(_FROZEN, task_dropout=_task_drop("standard", "conv4")), 0.0),
+}
+# case -> (head kind, meta-test config, task_l2, meta tags, episodes in the stack)
+STACK_CASES = {
+    **{case: (*args, CONV_TAGS, 6) for case, args in _HEAD_ONLY_CASES.items()},
+    **{f"{case}, E={e}": (head, mcfg, 0.0, tags, e)
+       for case, (head, mcfg, tags) in ONE_EPISODE_CASES.items() for e in (2, 5)},
 }
 
 
@@ -63,26 +87,33 @@ def _episode(index, view, espec, seed):
     return sample_episode(view, espec, rng.derive("sample")), rng
 
 
-def stacked_mismatches(head, mcfg, task_l2, n_episodes=6, seed=3) -> list[str]:
-    """Where meta_test on a stack and per-episode meta_test differ on the same cached query features."""
-    state, view = _state_and_view(head, task_l2)
-    assert stackable(state, mcfg)
+def _slice(stacked: np.ndarray, like: np.ndarray, e: int) -> np.ndarray:
+    """Episode e's slice of a stacked parameter, or the parameter itself where the stack shares it."""
+    return stacked[e] if stacked.ndim == like.ndim + 1 else stacked
+
+
+def stacked_mismatches(head, mcfg, task_l2, tags, n_episodes, seed=3) -> list[str]:
+    """Where meta_test on a stack and per-episode meta_test differ.
+
+    Both are compared on their query logits from the same cached features, and on every parameter slice.
+    """
+    state, view = _state_and_view(head, task_l2, tags)
     cut = meta_test_prefix(state, mcfg)
-    feats = evaluate._embed(state.network, view.images, cut, ESPEC.C * ESPEC.Q_query)
+    feats = evaluate._embed(state.network, view.images, cut, ESPEC.C * ESPEC.Q_query) if cut else view.images
     episodes, rngs = zip(*(_episode(i, view, ESPEC, seed) for i in range(n_episodes)))
     problems = []
     with ops.one_blas_thread():
         stacked = meta_test(state, [episode.support for episode in episodes], mcfg, list(rngs))
         queries = np.concatenate([feats[episode.query_idx] for episode in episodes])
         logits = forward(stacked.network, queries, MODE_EVAL, STAGE_META_TESTING, start=cut).data
-        heads = stacked.network.head.params()
+        got = stacked.network.params()
         for e, (episode, rng) in enumerate(zip(episodes, rngs)):
             adapted = meta_test(state, episode.support, mcfg, rng)
             want = forward(adapted.network, feats[episode.query_idx], MODE_EVAL, STAGE_META_TESTING, start=cut).data
             if logits[e].tobytes() != want.tobytes():
                 problems.append(f"episode {e}: query logits")
-            for pid, t in adapted.network.head.params().items():
-                if heads[pid].data[e].tobytes() != t.data.tobytes():
+            for pid, t in adapted.network.params().items():
+                if _slice(got[pid].data, t.data, e).tobytes() != t.data.tobytes():
                     problems.append(f"episode {e}: {pid}")
     return problems
 
@@ -90,23 +121,6 @@ def stacked_mismatches(head, mcfg, task_l2, n_episodes=6, seed=3) -> list[str]:
 @pytest.mark.parametrize("case", list(STACK_CASES))
 def test_stacked_adaptation_equals_meta_test_per_episode(case):
     assert stacked_mismatches(*STACK_CASES[case]) == []
-
-
-_UNFROZEN = replace(_FROZEN, freeze_meta=False, finetune_lr=0.1)
-# case -> (head kind, meta-test config, meta tags); none of them stacks
-ONE_EPISODE_CASES = {
-    f"{head}, {name}": (head, mcfg, tags)
-    for head in ("cosine", "linear")
-    for name, mcfg, tags in (
-        ("unfrozen", _UNFROZEN, CONV_TAGS),
-        ("unfrozen, dropout on conv2", replace(_UNFROZEN, task_dropout=_task_drop("standard", "conv2")), CONV_TAGS),
-        ("unfrozen, dropblock on conv3", replace(_UNFROZEN, task_dropout=_task_drop("dropblock", "conv3", 3)),
-         CONV_TAGS),
-        ("conv4 is task knowledge", _FROZEN, CONV_TAGS - {"conv4"}),
-        ("frozen, dropout on conv3", replace(_FROZEN, task_dropout=_task_drop("standard", "conv3")), CONV_TAGS),
-        ("frozen", _FROZEN, CONV_TAGS),
-    )
-}
 
 
 def one_episode_mismatches(head, mcfg, tags, n_episodes=3, seed=3) -> list[str]:
@@ -124,18 +138,14 @@ def one_episode_mismatches(head, mcfg, tags, n_episodes=3, seed=3) -> list[str]:
                 problems.append(f"episode {e}: query logits")
             got = stacked.network.params()
             for pid, t in adapted.network.params().items():
-                one = got[pid].data[0] if pid in stacked.network.head.params() else got[pid].data
-                if one.tobytes() != t.data.tobytes():
+                if _slice(got[pid].data, t.data, 0).tobytes() != t.data.tobytes():
                     problems.append(f"episode {e}: {pid}")
     return problems
 
 
 @pytest.mark.parametrize("case", list(ONE_EPISODE_CASES))
 def test_a_stack_of_one_equals_meta_test_on_one_episode(case):
-    head, mcfg, tags = ONE_EPISODE_CASES[case]
-    state, _ = _state_and_view(head, 0.0, tags)
-    assert not stackable(state, mcfg) or case.endswith(", frozen")
-    assert one_episode_mismatches(head, mcfg, tags) == []
+    assert one_episode_mismatches(*ONE_EPISODE_CASES[case]) == []
 
 
 _CHILD = """
@@ -151,7 +161,7 @@ print(json.dumps({
 @pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Prescott"])
 def test_stacking_premise_holds_on_other_openblas_kernels(core):
     # the kernel is forced in the child's environment only; this process keeps its own
-    if ops._openblas_threads() is None:
+    if ops._openblas() is None:
         pytest.skip("numpy does not bundle scipy-openblas here")
     tests_dir = os.path.dirname(__file__)
     env = {**os.environ, "OPENBLAS_CORETYPE": core,
@@ -163,25 +173,43 @@ def test_stacking_premise_holds_on_other_openblas_kernels(core):
 
 
 # ---------------------------------------------------------------------------
-# which meta-tests stack
+# what a stack holds
 
 
-def test_stackable_needs_a_frozen_backbone_and_nothing_but_the_head_to_adapt():
+def test_step_start_is_the_first_layer_with_parameters_each_adaptation_step_runs():
     state, _ = _state_and_view("cosine", 0.0)
-    assert stackable(state, _FROZEN)
-    assert stackable(state, replace(_FROZEN, task_dropout=_task_drop("standard", "conv4")))
-    # the frozen conv4 would run on every episode's rows at once, changing its GEMM's row count
-    assert not stackable(state, replace(_FROZEN, task_dropout=_task_drop("standard", "conv3")))
-    assert not stackable(state, replace(_FROZEN, freeze_meta=False))
+    tags = {name: state.network.layers[step_start(state, mcfg)].tag for name, mcfg in (
+        ("frozen", _FROZEN),
+        ("conv4 dropout", replace(_FROZEN, task_dropout=_task_drop("standard", "conv4"))),
+        ("conv3 dropout", replace(_FROZEN, task_dropout=_task_drop("standard", "conv3"))),
+        ("unfrozen", _UNFROZEN),
+        ("unfrozen, conv3 dropout", replace(_UNFROZEN, task_dropout=_task_drop("standard", "conv3"))),
+    )}
+    assert tags == {"frozen": "head", "conv4 dropout": "head", "conv3 dropout": "conv4",
+                    "unfrozen": "conv1", "unfrozen, conv3 dropout": "conv1"}
     conv4_task, _ = _state_and_view("cosine", 0.0, tags=CONV_TAGS - {"conv4"})
-    assert not stackable(conv4_task, _FROZEN)
+    assert conv4_task.network.layers[step_start(conv4_task, _FROZEN)].tag == "conv4"
+
+
+def test_a_stack_copies_what_adapts_and_shares_what_does_not():
+    state, view = _state_and_view("cosine", 0.0)
+    episodes, rngs = zip(*(_episode(i, view, ESPEC, 0) for i in range(3)))
+    mcfg = replace(_FROZEN, task_dropout=_task_drop("standard", "conv3"), finetune_steps=0)
+    params = meta_test(state, [e.support for e in episodes], mcfg, list(rngs)).network.params()
+    trained = state.network.params()
+    # conv3 runs before the cut, once per episode; conv4 runs in every step, frozen
+    assert params["conv3.weight"].shape == trained["conv3.weight"].shape
+    assert params["conv4.weight"].shape == (3, *trained["conv4.weight"].shape)
+    assert not params["conv4.weight"].data.flags.writeable
+    assert params["head.class_vectors"].shape[0] == 3
+    unfrozen = meta_test(state, [e.support for e in episodes], replace(_UNFROZEN, finetune_steps=0), list(rngs))
+    assert all(t.shape[0] == 3 and t.data.flags.writeable for t in unfrozen.network.params().values())
 
 
 def test_meta_test_refuses_stacks_that_do_not_stack():
     state, view = _state_and_view("cosine", 0.0)
-    episodes, rngs = zip(*(_episode(i, view, ESPEC, 0) for i in range(2)))
-    with pytest.raises(ContractError, match="freeze_meta"):
-        meta_test(state, [e.support for e in episodes], replace(_FROZEN, freeze_meta=False), list(rngs))
-    three_way, rng = _episode(2, view, EpisodeSpec(C=3, K=1, Q_query=4), 0)
-    with pytest.raises(ContractError, match="one class count"):
-        meta_test(state, [episodes[0].support, three_way.support], _FROZEN, [rngs[0], rng])
+    five_way, rng = _episode(0, view, ESPEC, 0)
+    three_way, rng3 = _episode(2, view, EpisodeSpec(C=3, K=1, Q_query=4), 0)
+    for mcfg in (_FROZEN, _UNFROZEN):
+        with pytest.raises(ContractError, match="one class count"):
+            meta_test(state, [five_way.support, three_way.support], mcfg, [rng, rng3])
