@@ -181,8 +181,6 @@ def cmd_ablate(args) -> int:
         mtest_cfg=cfg.meta_test,
         espec=cfg.episode,
         n_episodes=cfg.n_eval_episodes,
-        meta_dropout_template=cfg.train.meta_dropout,
-        task_dropout=cfg.meta_test.task_dropout,
         config_hash=cfg.config_hash,
     )
     rows = run_ablation(grid, assets, _seeds(cfg, args), jobs=args.jobs)
@@ -233,39 +231,30 @@ def _jobs_value(text: str) -> int:
     return value
 
 
-def _add_common(sp, config_required: bool = True) -> None:
-    sp.add_argument("--config", required=config_required, help="experiment config (JSON)")
-    sp.add_argument("--seed", type=_seed_value, default=None,
-                    help="single seed overriding the config's seed list")
-    sp.add_argument("--out", default=None, help="output directory (overrides config.out)")
-    sp.add_argument("--jobs", type=_jobs_value, default=1, help="worker processes for episodes/cells")
-    sp.add_argument("--force", action="store_true", help="skip the architecture-hash guard")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fsml", description="few-shot meta-learning experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("train", help="run the configured training regime")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_train)
-
-    sp = sub.add_parser("eval", help="evaluate checkpoints on the novel split")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_eval)
-
-    sp = sub.add_parser("ablate", help="train and evaluate the regularizer ablation grid")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_ablate)
-
-    sp = sub.add_parser("gen-data", help="write the configured synthetic dataset")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_gen_data)
-
-    sp = sub.add_parser("oracle-check", help="run the analytic-vs-numeric verification gates")
-    _add_common(sp, config_required=False)
-    sp.set_defaults(fn=cmd_oracle_check)
-
+    flags = {
+        "--config": dict(required=True, help="experiment config (JSON)"),
+        "--seed": dict(type=_seed_value, default=None, help="single seed overriding the config's seed list"),
+        "--out": dict(default=None, help="output directory (overrides config.out)"),
+        "--jobs": dict(type=_jobs_value, default=1, help="worker processes for episode stacks/cells"),
+        "--force": dict(action="store_true", help="skip the architecture-hash guard"),
+    }
+    # each subcommand takes only the flags it reads
+    for name, fn, text, names in (
+        ("train", cmd_train, "run the configured training regime", ("--config", "--seed", "--out")),
+        ("eval", cmd_eval, "evaluate checkpoints on the novel split",
+         ("--config", "--seed", "--out", "--jobs", "--force")),
+        ("ablate", cmd_ablate, "train and evaluate the regularizer ablation grid",
+         ("--config", "--seed", "--out", "--jobs")),
+        ("gen-data", cmd_gen_data, "write the configured synthetic dataset", ("--config", "--out")),
+        ("oracle-check", cmd_oracle_check, "run the analytic-vs-numeric verification gates", ()),
+    ):
+        sp = sub.add_parser(name, help=text)
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
+        sp.set_defaults(fn=fn)
     return parser
 
 

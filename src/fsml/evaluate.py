@@ -84,7 +84,7 @@ class EvalReport:
 
 
 def _embed(net: Network, images: np.ndarray, cut: int, chunk: int) -> np.ndarray:
-    """Layers [0, cut) of `net` on every image, in forwards of exactly `chunk` images.
+    """An eval-mode forward of `net` up to point `cut` on every image, in forwards of exactly `chunk` images.
 
     The last chunk is zero-padded and the padding trimmed off.  A row's bits
     depend on the row count of each layer's GEMM, not on the other images in
@@ -131,7 +131,7 @@ def _stack_size(state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig)
 
 def _accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
                 mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> list[float]:
-    """The accuracies of episodes `indices` from one meta_test call and one query forward from layer `cut` on."""
+    """The accuracies of episodes `indices` from one meta_test call and one query forward from point `cut` on."""
     rngs = [_episode_rng(seed, i) for i in indices]
     queries = []  # (query rows of feats, query labels) per episode
 
@@ -175,11 +175,12 @@ def evaluate_fewshot(
 ) -> EvalReport:
     """Adapt-and-classify over `n_episodes` episodes of the novel view.
 
-    The layers meta_test leaves unchanged (`meta_test_prefix`) run once per
-    call over the whole view, and each episode classifies its query from
-    those features; the result is bitwise that of full query forwards.  When
-    the episodes read fewer query images than the view holds, embedding it
-    would cost more than it saves, so each query runs the whole network.
+    The part of the forward that meta_test leaves unchanged, up to the point
+    `meta_test_prefix`, runs once per call over the whole view, and each
+    episode classifies its query from those features; the result is bitwise
+    that of full query forwards.  When the episodes read fewer query images
+    than the view holds, embedding it would cost more than it saves, so each
+    query runs the whole network.
 
     The episodes run in stacks, each adapted by one meta_test call and
     classified by one query forward, with the bytes of per-episode
@@ -249,9 +250,9 @@ class AblationCell:
 class AblationGrid:
     """Cross product of regularizer arms and hyperparameter axes.
 
-    The meta-dropout spec of the M arms takes its kind/placements from the
-    cell; the D arms reuse `task_dropout` as given.  keep_prob and block_size
-    come from `meta_dropout_template`.
+    The meta-dropout spec of the M arms is the assets' `train_cfg.meta_dropout`
+    with the cell's kind and placements; the D arms use the assets'
+    `mtest_cfg.task_dropout` as given.
     """
 
     arms: tuple[str, ...] = _ARMS
@@ -288,8 +289,6 @@ class AblationAssets:
     mtest_cfg: MetaTestConfig
     espec: EpisodeSpec
     n_episodes: int = 600
-    meta_dropout_template: DropoutSpec | None = None
-    task_dropout: DropoutSpec | None = None
     config_hash: str = ""
 
 
@@ -302,18 +301,17 @@ class AblationRow:
 
 
 def _cell_specs(cell: AblationCell, assets: AblationAssets) -> tuple[DropoutSpec | None, DropoutSpec | None]:
-    meta_spec = None
-    task_spec = None
+    meta_spec = task_spec = None
     if cell.arm in ("M", "M&D"):
-        template = assets.meta_dropout_template
+        template = assets.train_cfg.meta_dropout
         if template is None:
-            raise ContractError(f"arm {cell.arm!r} needs a meta_dropout template")
+            raise ContractError(f"arm {cell.arm!r} needs train_cfg.meta_dropout as its template")
         meta_spec = replace(template, kind=cell.kind, placements=cell.placements,
                             block_size=template.block_size if cell.kind == "dropblock" else 1)
     if cell.arm in ("D", "M&D"):
-        if assets.task_dropout is None:
-            raise ContractError(f"arm {cell.arm!r} needs a task_dropout spec")
-        task_spec = assets.task_dropout
+        task_spec = assets.mtest_cfg.task_dropout
+        if task_spec is None:
+            raise ContractError(f"arm {cell.arm!r} needs mtest_cfg.task_dropout")
     return meta_spec, task_spec
 
 

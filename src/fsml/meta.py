@@ -120,8 +120,6 @@ class KnowledgeState:
     meta_dropout: DropoutSpec | None = None
     seed: int = 0
     log: list = field(default_factory=list)
-    w_values: dict = field(default_factory=dict)
-    theta_values: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
@@ -130,13 +128,6 @@ class KnowledgeState:
         declared = set(self.partition.meta_ids) | set(self.partition.task_ids)
         if live != declared:
             raise ConfigurationError(f"partition ids {sorted(declared)} do not cover network ids {sorted(live)}")
-        if not self.w_values:
-            self.snapshot()
-
-    def snapshot(self) -> None:
-        values = self.network.values()
-        self.w_values = {pid: values[pid] for pid in self.partition.meta_ids}
-        self.theta_values = {pid: values[pid] for pid in self.partition.task_ids}
 
     def specs(self) -> tuple[DropoutSpec, ...]:
         return (self.meta_dropout,) if self.meta_dropout is not None else ()
@@ -208,12 +199,14 @@ def _adapt_loss(state: KnowledgeState, logits: Tensor, y: np.ndarray) -> Tensor:
     return loss
 
 
-def _frozen_prefix(net: Network, param_ids, stage: str, specs) -> int:
-    """Count the leading layers whose output is the same on every adaptation pass.
+def _cut(net: Network, param_ids, stage: str, specs) -> int:
+    """The point (see `forward`) where the part of an adaptation forward that is the same on every pass ends.
 
-    Such a layer holds none of `param_ids` and carries no mask that fires at
-    `stage`.  The head always stays outside the prefix, so every pass still
-    records a loss on its tape.
+    That part runs the leading layers that hold none of `param_ids` and carry
+    no mask that fires at `stage`.  A layer that ends it by its mask alone
+    runs up to that mask too (for a conv block: conv, bias and relu).  The
+    head always stays after the cut, so every pass still records a loss on
+    its tape.
     """
     updated = set(param_ids)
     masked = set()
@@ -221,44 +214,33 @@ def _frozen_prefix(net: Network, param_ids, stage: str, specs) -> int:
         if spec.active(MODE_TRAIN, stage) and spec.keep_prob < 1.0:
             masked |= spec.placements
     for k, layer in enumerate(net.layers[:-1]):
-        if layer.tag in masked or updated & layer.params().keys():
-            return k
-    return len(net.layers) - 1
+        if updated & layer.params().keys():
+            return 2 * k
+        if layer.tag in masked:
+            return 2 * k + 1
+    return 2 * (len(net.layers) - 1)
 
 
-def _adapt_cut(net: Network, param_ids, stage: str, specs) -> tuple[int, bool]:
-    """Where the part of an adaptation forward that is the same on every pass ends: (k, at_mask).
-
-    k is `_frozen_prefix`.  When layer k ends the prefix by its mask alone,
-    at_mask is True: its part before the mask (for a conv block: conv, bias
-    and relu) is the same on every pass too.
-    """
-    k = _frozen_prefix(net, param_ids, stage, specs)
-    return k, k < len(net.layers) - 1 and not set(param_ids) & net.layers[k].params().keys()
-
-
-def _to_cut(net: Network, images: np.ndarray, stage: str, specs, rng, cut: tuple[int, bool]) -> Tensor:
-    """The part of an adaptation forward before `cut` (`_adapt_cut`) on `images`, off the tape; it draws no mask."""
-    k, at_mask = cut
-    if not (k or at_mask):
+def _to_cut(net: Network, images: np.ndarray, stage: str, specs, rng, cut: int) -> Tensor:
+    """An adaptation forward on `images` up to point `cut` (`_cut`), off the tape; it draws no mask."""
+    if not cut:
         return Tensor(images)
-    return forward(net, images, MODE_TRAIN, stage, specs, rng, stop=k, stop_at_mask=at_mask)
+    return forward(net, images, MODE_TRAIN, stage, specs, rng, stop=cut)
 
 
-def _descend(state: KnowledgeState, x: Tensor, y: np.ndarray, cut: tuple[int, bool], steps: int, lr: float,
+def _descend(state: KnowledgeState, x: Tensor, y: np.ndarray, cut: int, steps: int, lr: float,
              stage: str, specs, rng, param_ids) -> list[float]:
-    """`steps` rounds of forward / backward / update on `param_ids`, from `x`, the output up to `cut`, on.
+    """`steps` rounds of forward / backward / update on `param_ids`, from `x`, the activation at point `cut`, on.
 
     With a head that holds E heads, `x` is E episodes' rows in order, `y` is
     [E, B] and `rng` one rng per episode: one tape runs all E episodes.
     """
     net = state.network
     opt = Sgd(param_ids, lr)
-    k, at_mask = cut
     losses = []
     for _ in range(steps):
         tape = Tape()
-        logits = forward(net, x, MODE_TRAIN, stage, specs, rng, tape, start=k, start_at_mask=at_mask)
+        logits = forward(net, x, MODE_TRAIN, stage, specs, rng, tape, start=cut)
         loss = _adapt_loss(state, logits, y)
         grads = backward(tape, loss)
         live = {pid: t.data for pid, t in net.params().items()}
@@ -280,14 +262,13 @@ def _sgd_passes(
 ) -> list[float]:
     """`steps` rounds of forward / backward / update on `param_ids` only.
 
-    The frozen prefix, and the next layer up to its mask when that mask ends
-    the prefix, runs once, off the tape; each pass runs the rest.  That part
-    draws no mask, so the passes see the same values and the same random
-    stream as full forwards would.
+    The part of the forward before the cut (`_cut`) runs once, off the tape;
+    each pass runs the rest.  That part draws no mask, so the passes see the
+    same values and the same random stream as full forwards would.
     """
     if steps == 0:
         return []
-    cut = _adapt_cut(state.network, param_ids, stage, specs)
+    cut = _cut(state.network, param_ids, stage, specs)
     x = _to_cut(state.network, batch.x, stage, specs, rng, cut)
     return _descend(state, x, batch.y, cut, steps, lr, stage, specs, rng, param_ids)
 
@@ -387,7 +368,6 @@ def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, regim
         )
     net.load_values(prototype)
     net.bind(None)
-    state.snapshot()
     return state
 
 
@@ -507,7 +487,7 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> Knowl
     net, ids = adapted.network, _adapted_ids(adapted.partition, cfg)
     specs = _test_specs(adapted, cfg)
     validate_specs(net, specs)
-    cut = _adapt_cut(net, ids, STAGE_META_TESTING, specs)
+    cut = _cut(net, ids, STAGE_META_TESTING, specs)
     mask_rngs = [r.derive("adapt-masks") for r in rngs]
     ways, xs, ys = set(), [], []
     for episode_support, mask_rng in zip(supports, mask_rngs):
@@ -526,13 +506,12 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> Knowl
     net.reshape_head(ways.pop(), form([r.derive("head-init") for r in rngs]))
     if not one:
         e = len(rngs)
-        for layer in net.layers[step_start(adapted, cfg) : -1]:
+        for layer in net.layers[_step_start(net, cut) : -1]:
             for pid, t in layer.params().items():
                 t.data = np.stack([t.data] * e) if pid in ids else np.broadcast_to(t.data, (e, *t.shape))
     if cfg.finetune_steps > 0:
         _descend(adapted, Tensor(form(xs, np.concatenate)), form(ys, np.stack), cut, cfg.finetune_steps,
                  cfg.finetune_lr, STAGE_META_TESTING, specs, form(mask_rngs), ids)
-    adapted.snapshot()
     return adapted
 
 
@@ -542,8 +521,13 @@ def step_start(state: KnowledgeState, cfg: MetaTestConfig) -> int:
     It is the head's index when the steps run nothing else with parameters.
     """
     net = state.network
-    k, at_mask = _adapt_cut(net, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
-    return next(i for i in range(k + at_mask, len(net.layers)) if net.layers[i].params())
+    cut = _cut(net, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
+    return _step_start(net, cut)
+
+
+def _step_start(net: Network, cut: int) -> int:
+    """The index of the first layer with parameters that runs after point `cut`."""
+    return next(i for i in range((cut + 1) // 2, len(net.layers)) if net.layers[i].params())
 
 
 def _adapted_ids(partition: ParamPartition, cfg: MetaTestConfig) -> tuple[str, ...]:
@@ -552,11 +536,11 @@ def _adapted_ids(partition: ParamPartition, cfg: MetaTestConfig) -> tuple[str, .
 
 
 def meta_test_prefix(state: KnowledgeState, cfg: MetaTestConfig) -> int:
-    """Count the leading layers whose eval-mode output meta_test leaves unchanged.
+    """The point up to which an eval-mode forward gives the same output before and after meta_test.
 
-    They hold none of the ids meta_test updates, and an eval-mode forward
-    draws no mask, so their output on an image is the same for the trained
-    state and for every state meta_test returns from it.  0 without
-    freeze_meta.
+    The layers before it hold none of the ids meta_test updates, and an
+    eval-mode forward draws no mask, so their output on an image is the same
+    for the trained state and for every state meta_test returns from it.  It
+    is `_cut` with no mask, so it is even; 0 without freeze_meta.
     """
-    return _frozen_prefix(state.network, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, ())
+    return _cut(state.network, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, ())

@@ -552,22 +552,19 @@ def forward(
     tape: Tape | None = None,
     start: int = 0,
     stop: int | None = None,
-    start_at_mask: bool = False,
-    stop_at_mask: bool = False,
 ) -> Tensor:
-    """Run layers [start, stop) of the network on a batch and return the output.
+    """Run the network from point `start` to point `stop` on a batch and return the output.
 
-    By default that is the whole network on a [B, *input_shape] batch, and the
-    output is the logits; with `start` the batch is the output of layer
-    start - 1, and with `stop` the result is the output of layer stop - 1.
-    With `start_at_mask` the batch is instead the activation that layer
-    `start`'s mask sees, and the forward begins with that mask; with
-    `stop_at_mask` it also runs layer `stop` up to its mask and returns that
-    activation.  A spec's masks fire only when mode == "train" and its stage
-    matches `stage`; everything else is a pure function of the parameters.
-    Masks are drawn from `rng` per forward pass, one draw per (spec, layer)
-    for the whole batch, which for the spatial kinds equals one [C,H,W] draw
-    per sample in batch order.
+    A point is a position in the forward of an n-layer network: point 2k is
+    the input of layer k, and point 2k + 1 is the activation that layer k's
+    mask sees (for a conv block, its relu output).  By default the forward
+    runs from point 0, a [B, *input_shape] batch, to point 2n, the logits.
+    From an odd `start` it begins with that layer's mask; to an odd `stop` it
+    runs that layer up to its mask.  A spec's masks fire only when mode ==
+    "train" and its stage matches `stage`; everything else is a pure function
+    of the parameters.  Masks are drawn from `rng` per forward pass, one draw
+    per (spec, layer) for the whole batch, which for the spatial kinds equals
+    one [C,H,W] draw per sample in batch order.
 
     For a network whose head holds E heads, the batch is E episodes' rows in
     order and `rng` may be a list of E rngs: each episode's masks are then
@@ -578,14 +575,14 @@ def forward(
     if stage not in (STAGE_META_TRAINING, STAGE_META_TESTING):
         raise ContractError(f"unknown stage {stage!r}")
     n = len(net.layers)
-    stop = n if stop is None else stop
-    # in half layers: 2k is the input of layer k, 2k + 1 its mask
-    if not 0 <= 2 * start + start_at_mask < 2 * stop + stop_at_mask <= 2 * n:
-        raise ContractError(f"layer range [{start}, {stop}) is not a non-empty range of {n} layers")
+    stop = 2 * n if stop is None else stop
+    if not 0 <= start < stop <= 2 * n:
+        raise ContractError(f"point range [{start}, {stop}) is not a non-empty range of the points 0..{2 * n}")
+    first = net.layers[start // 2]
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    in_shape = net.mask_shape(net.layers[start].tag) if start_at_mask else net.in_shape(start)
+    in_shape = net.mask_shape(first.tag) if start % 2 else net.in_shape(start // 2)
     if x.data.ndim != len(in_shape) + 1 or x.shape[1:] != in_shape:
-        raise DimensionError(f"batch shape {x.shape} does not match input shape {in_shape} of layer {start}")
+        raise DimensionError(f"batch shape {x.shape} does not match input shape {in_shape} of point {start}")
     validate_specs(net, specs)
     active = [s for s in specs if s.active(mode, stage)]
     if rng is None and any(s.keep_prob < 1.0 for s in active):
@@ -605,16 +602,10 @@ def forward(
                 t = draw(spec, tag, t).apply(t)
         return t
 
-    out = x
-    layers = net.layers[start:stop]
-    if start_at_mask:
-        out = layers[0].after_mask(inject(layers[0].tag, out))
-        layers = layers[1:]
-    for layer in layers:
+    out = x if start % 2 == 0 else first.after_mask(inject(first.tag, x))
+    for layer in net.layers[(start + 1) // 2 : stop // 2]:
         out = layer.apply(out, inject)
-    if stop_at_mask:
-        out = net.layers[stop].apply(out, None)
-    return out
+    return out if stop % 2 == 0 else net.layers[stop // 2].apply(out, None)
 
 
 # ---------------------------------------------------------------------------

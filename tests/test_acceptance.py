@@ -130,9 +130,9 @@ def test_c5_degenerate_equalities():
                   dump_params(adapted_without.network.values()))
 
     # freeze_meta leaves every meta parameter bitwise unchanged
-    w_before = {pid: v.copy() for pid, v in state_a.w_values.items()}
-    adapted = meta_test(state_a, support, mcfg, Rng(7))
-    checks.append(all(np.array_equal(adapted.w_values[pid], w_before[pid]) for pid in w_before))
+    w_before = state_a.network.values()
+    w_after = meta_test(state_a, support, mcfg, Rng(7)).network.values()
+    checks.append(all(np.array_equal(w_after[pid], w_before[pid]) for pid in state_a.partition.meta_ids))
 
     # same seed, same config: identical checkpoints and identical reports
     net_c, part_c = _state((2, 2, 2, 2), 16, 8, 9)
@@ -217,13 +217,13 @@ def test_c8_desk_scale_trend(tmp_path):
         base_view=base,
         novel_view=novel,
         build_net=_c8_build_net,
-        train_cfg=TrainConfig(meta_lr=0.2, meta_epochs=12, batch_size=64, momentum=0.0),
-        mtest_cfg=MetaTestConfig(Q=600, finetune_steps=5, finetune_lr=1.0),
+        train_cfg=TrainConfig(meta_lr=0.2, meta_epochs=12, batch_size=64, momentum=0.0,
+                              meta_dropout=DropoutSpec("dropblock", 0.9, frozenset({"conv3", "conv4"}),
+                                                       "meta_training", block_size=3)),
+        mtest_cfg=MetaTestConfig(Q=600, finetune_steps=5, finetune_lr=1.0,
+                                 task_dropout=DropoutSpec("standard", 0.9, frozenset({"conv4"}), "meta_testing")),
         espec=EpisodeSpec(C=5, K=1, Q_query=4),
         n_episodes=600,
-        meta_dropout_template=DropoutSpec("dropblock", 0.9, frozenset({"conv3", "conv4"}),
-                                          "meta_training", block_size=3),
-        task_dropout=DropoutSpec("standard", 0.9, frozenset({"conv4"}), "meta_testing"),
     )
     grid = AblationGrid(arms=("none", "M", "D", "M&D"), kinds=("dropblock",),
                         placements=(frozenset({"conv3", "conv4"}),), batch_sizes=(64,))

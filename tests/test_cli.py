@@ -417,6 +417,27 @@ def test_jobs_outside_one_to_cpu_count_rejected(tmp_path, capsys, jobs):
     assert not (tmp_path / "o").exists()
 
 
+# (subcommand, a flag it does not read, with a value where the flag takes one)
+_UNREAD_FLAGS = [
+    ("train", ["--jobs", "1"]), ("train", ["--force"]),
+    ("gen-data", ["--seed", "1"]), ("gen-data", ["--jobs", "1"]), ("gen-data", ["--force"]),
+    ("ablate", ["--force"]),
+    ("oracle-check", ["--config", "c.json"]), ("oracle-check", ["--seed", "1"]), ("oracle-check", ["--out", "o"]),
+    ("oracle-check", ["--jobs", "1"]), ("oracle-check", ["--force"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS, ids=[f"{c} {f[0]}" for c, f in _UNREAD_FLAGS])
+def test_a_subcommand_refuses_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    cfg_path = write_config(tmp_path, base_config(out=tmp_path / "o"))
+    config = ["--config", cfg_path] if command != "oracle-check" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *config, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_ablate_requires_templates(tmp_path, capsys):
     raw = base_config(out=tmp_path / "o")
     del raw["train"]["meta_dropout"]

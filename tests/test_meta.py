@@ -99,11 +99,11 @@ def test_state_partition_must_cover_network():
 
 def test_state_clone_independent():
     state = make_state()
+    before = state.network.values()
     twin = state.clone()
     next(iter(twin.network.params().values())).data += 5.0
-    orig = state.network.values()
-    snap = state.w_values
-    assert all(np.array_equal(orig[k], snap[k]) for k in snap)
+    after = state.network.values()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 # ---------------------------------------------------------------------------
@@ -570,29 +570,29 @@ def task_drop(place):
     return DropoutSpec("standard", 0.7, frozenset({place}), STAGE_META_TESTING, 1)
 
 
-# case -> (meta-test config, expected frozen prefix length of the 6-layer Conv-4)
+# case -> (meta-test config, expected cut: a point of the 6-layer Conv-4, 2k the input of layer k, 2k + 1 its mask)
 PREFIX_CASES = {
-    "frozen": (MetaTestConfig(Q=6, finetune_steps=4, finetune_lr=0.5), 5),
+    "frozen": (MetaTestConfig(Q=6, finetune_steps=4, finetune_lr=0.5), 10),
     "frozen, task dropout on conv4": (
         MetaTestConfig(Q=6, finetune_steps=4, finetune_lr=0.5,
-                       task_dropout=task_drop("conv4")), 3),
+                       task_dropout=task_drop("conv4")), 7),
     "frozen, standard dropout on flatten": (
         MetaTestConfig(Q=6, finetune_steps=4, finetune_lr=0.5,
-                       task_dropout=task_drop("flatten")), 4),
+                       task_dropout=task_drop("flatten")), 9),
     "unfrozen": (MetaTestConfig(Q=6, freeze_meta=False, finetune_steps=4, finetune_lr=0.1), 0),
 }
 
 
 @pytest.mark.parametrize("case", list(PREFIX_CASES))
 def test_meta_test_prefix_shortcut_equals_full_passes(case, monkeypatch):
-    mcfg, prefix = PREFIX_CASES[case]
+    mcfg, cut = PREFIX_CASES[case]
     state = meta_train_pretrain(*pretrain_setup(seed=4, meta_epochs=2, task_l2=0.01))
     novel = toy_view(n_classes=4, per_class=6, seed=5)
     espec = EpisodeSpec(C=3, K=2, Q_query=2)
     support = sample_episode(novel, espec, Rng(1)).support
     ids = state.partition.task_ids if mcfg.freeze_meta else state.partition.meta_ids + state.partition.task_ids
     specs = (mcfg.task_dropout,) if mcfg.task_dropout else ()
-    assert meta_module._frozen_prefix(state.network, ids, STAGE_META_TESTING, specs) == prefix
+    assert meta_module._cut(state.network, ids, STAGE_META_TESTING, specs) == cut
 
     def run():
         adapted = meta_test(state, support, mcfg, Rng(2)).network.values()
@@ -600,8 +600,8 @@ def test_meta_test_prefix_shortcut_equals_full_passes(case, monkeypatch):
         return adapted, report.per_episode_acc
 
     fast_values, fast_accs = run()
-    # no shortcut: full forwards on every step, and so one episode per stack
-    monkeypatch.setattr(meta_module, "_adapt_cut", lambda *args: (0, False))
+    # no shortcut: full forwards on every step, and full query forwards
+    monkeypatch.setattr(meta_module, "_cut", lambda *args: 0)
     slow_values, slow_accs = run()
     assert fast_values.keys() == slow_values.keys()
     assert all(np.array_equal(fast_values[k], slow_values[k]) for k in fast_values)
@@ -609,9 +609,9 @@ def test_meta_test_prefix_shortcut_equals_full_passes(case, monkeypatch):
 
 
 def test_episodic_inner_loop_prefix_shortcut_equals_full_passes(monkeypatch):
-    # meta-dropout on conv3 and conv4 leaves conv1 and conv2 as the prefix
+    # meta-dropout on conv3 and conv4 puts the cut at conv3's mask, point 5
     _, net, part, cfg = setup = episodic_setup(seed=4, meta_dropout=mdrop(kp=0.7))
-    assert meta_module._frozen_prefix(net, part.task_ids, STAGE_META_TRAINING, (cfg.meta_dropout,)) == 2
+    assert meta_module._cut(net, part.task_ids, STAGE_META_TRAINING, (cfg.meta_dropout,)) == 5
     fast = meta_train_episodic(*setup)
     monkeypatch.setattr(meta_module, "_sgd_passes", reference_sgd_passes)
     slow = meta_train_episodic(*episodic_setup(seed=4, meta_dropout=mdrop(kp=0.7)))

@@ -113,48 +113,42 @@ def test_forward_rejects_wrong_batch_shape():
         forward(net, np.zeros((2, 1, 16, 16), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING)
 
 
-def test_forward_layer_range_splits_the_network_bitwise():
-    net = small_net("cosine")
-    x = Rng(4).uniform_array((3, 1, 32, 32)).astype(np.float32)
-    full = forward(net, x, MODE_EVAL, STAGE_META_TESTING)
-    for k in range(1, len(net.layers)):
-        prefix = forward(net, x, MODE_EVAL, STAGE_META_TESTING, stop=k)
-        rest = forward(net, prefix, MODE_EVAL, STAGE_META_TESTING, start=k)
-        assert np.array_equal(rest.data, full.data)
-
-
-def test_forward_cut_at_a_mask_splits_a_train_forward_bitwise():
-    # masks on conv2, conv4 and flatten: a cut at any layer's mask, and the
-    # forward on from there, draw the masks of the full forward in its order
+def test_forward_split_at_any_point_equals_the_full_forward_bitwise():
+    # point 2k is layer k's input, 2k + 1 what its mask sees.  With masks on
+    # conv2, conv4 and flatten, the forward to a point and the forward on from
+    # it draw the masks of the full forward, in its order, in train mode, and
+    # none in eval mode
     net = small_net("cosine")
     specs = (DropoutSpec("standard", 0.7, frozenset({"conv2", "flatten"}), STAGE_META_TRAINING),
              DropoutSpec("dropblock", 0.8, frozenset({"conv4"}), STAGE_META_TRAINING, block_size=3))
     x = Rng(4).uniform_array((3, 1, 32, 32)).astype(np.float32)
-    full = forward(net, x, MODE_TRAIN, STAGE_META_TRAINING, specs, Rng(9))
-    for k in range(len(net.layers) - 1):
-        rng = Rng(9)
-        h = forward(net, x, MODE_TRAIN, STAGE_META_TRAINING, specs, rng, stop=k, stop_at_mask=True)
-        assert h.shape[1:] == net.mask_shape(net.layers[k].tag)
-        rest = forward(net, h, MODE_TRAIN, STAGE_META_TRAINING, specs, rng, start=k, start_at_mask=True)
-        assert np.array_equal(rest.data, full.data), k
     n = len(net.layers)
-    with pytest.raises(ContractError, match="layer range"):
-        forward(net, x, MODE_EVAL, STAGE_META_TESTING, stop=n, stop_at_mask=True)
-    with pytest.raises(ContractError, match="layer range"):
-        forward(net, np.zeros((2, 8, 4, 4), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING,
-                start=3, stop=3, start_at_mask=True, stop_at_mask=True)
+    for mode in (MODE_EVAL, MODE_TRAIN):
+        full_rng = Rng(9)
+        full = forward(net, x, mode, STAGE_META_TRAINING, specs, full_rng)
+        next_draw = full_rng.next_u64()  # where the full forward leaves the mask stream
+        for point in range(1, 2 * n):
+            rng = Rng(9)
+            h = forward(net, x, mode, STAGE_META_TRAINING, specs, rng, stop=point)
+            layer = net.layers[point // 2]
+            assert h.shape[1:] == (net.mask_shape(layer.tag) if point % 2 else net.in_shape(point // 2))
+            rest = forward(net, h, mode, STAGE_META_TRAINING, specs, rng, start=point)
+            assert np.array_equal(rest.data, full.data), (mode, point)
+            assert rng.next_u64() == next_draw, (mode, point)
+    for start, stop in ((4, 4), (5, 3), (-1, 6), (0, 2 * n + 1)):
+        with pytest.raises(ContractError, match="point range"):
+            forward(net, x, MODE_EVAL, STAGE_META_TESTING, start=start, stop=stop)
 
 
 def test_forward_checks_the_batch_against_the_start_layer():
     net = small_net()
     image = np.zeros((2, 1, 32, 32), dtype=np.float32)
-    with pytest.raises(DimensionError, match="layer 3"):
-        forward(net, image, MODE_EVAL, STAGE_META_TESTING, start=3)
-    with pytest.raises(DimensionError, match="layer 4"):
-        forward(net, np.zeros((2, 8, 4, 4), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING, start=4)
-    for start, stop in ((2, 2), (-1, 3), (0, len(net.layers) + 1)):
-        with pytest.raises(ContractError, match="layer range"):
-            forward(net, image, MODE_EVAL, STAGE_META_TESTING, start=start, stop=stop)
+    with pytest.raises(DimensionError, match="point 6"):
+        forward(net, image, MODE_EVAL, STAGE_META_TESTING, start=6)
+    with pytest.raises(DimensionError, match="point 8"):
+        forward(net, np.zeros((2, 8, 4, 4), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING, start=8)
+    with pytest.raises(DimensionError, match="point 7"):
+        forward(net, np.zeros((2, 8, 2, 2), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING, start=7)
 
 
 def test_reshape_head_changes_class_count():
