@@ -113,28 +113,43 @@ def test_forward_rejects_wrong_batch_shape():
         forward(net, np.zeros((2, 1, 16, 16), dtype=np.float32), MODE_EVAL, STAGE_META_TESTING)
 
 
-def test_forward_split_at_any_point_equals_the_full_forward_bitwise():
-    # point 2k is layer k's input, 2k + 1 what its mask sees.  With masks on
-    # conv2, conv4 and flatten, the forward to a point and the forward on from
-    # it draw the masks of the full forward, in its order, in train mode, and
-    # none in eval mode
-    net = small_net("cosine")
-    specs = (DropoutSpec("standard", 0.7, frozenset({"conv2", "flatten"}), STAGE_META_TRAINING),
-             DropoutSpec("dropblock", 0.8, frozenset({"conv4"}), STAGE_META_TRAINING, block_size=3))
+MASKED_SPECS = (
+    DropoutSpec("standard", 0.7, frozenset({"conv2", "flatten"}), STAGE_META_TRAINING),
+    DropoutSpec("dropblock", 0.8, frozenset({"conv4"}), STAGE_META_TRAINING, block_size=3),
+)
+
+
+def assert_splits_at_points_bitwise(net, points):
+    # the forward to each point and the forward on from it draw the masks of
+    # the full forward, in its order, in train mode, and none in eval mode
     x = Rng(4).uniform_array((3, 1, 32, 32)).astype(np.float32)
-    n = len(net.layers)
     for mode in (MODE_EVAL, MODE_TRAIN):
         full_rng = Rng(9)
-        full = forward(net, x, mode, STAGE_META_TRAINING, specs, full_rng)
+        full = forward(net, x, mode, STAGE_META_TRAINING, MASKED_SPECS, full_rng)
         next_draw = full_rng.next_u64()  # where the full forward leaves the mask stream
-        for point in range(1, 2 * n):
+        for point in points:
             rng = Rng(9)
-            h = forward(net, x, mode, STAGE_META_TRAINING, specs, rng, stop=point)
+            h = forward(net, x, mode, STAGE_META_TRAINING, MASKED_SPECS, rng, stop=point)
             layer = net.layers[point // 2]
             assert h.shape[1:] == (net.mask_shape(layer.tag) if point % 2 else net.in_shape(point // 2))
-            rest = forward(net, h, mode, STAGE_META_TRAINING, specs, rng, start=point)
+            rest = forward(net, h, mode, STAGE_META_TRAINING, MASKED_SPECS, rng, start=point)
             assert np.array_equal(rest.data, full.data), (mode, point)
             assert rng.next_u64() == next_draw, (mode, point)
+
+
+def test_forward_layer_range_splits_the_network_bitwise():
+    # point 2k is layer k's input: a cut between any two layers
+    net = small_net("cosine")
+    assert_splits_at_points_bitwise(net, range(2, 2 * len(net.layers), 2))
+
+
+def test_forward_cut_at_a_mask_splits_a_train_forward_bitwise():
+    # point 2k + 1 is what layer k's mask sees: masks on conv2, conv4 and
+    # flatten, a cut at any layer's mask
+    net = small_net("cosine")
+    n = len(net.layers)
+    assert_splits_at_points_bitwise(net, range(1, 2 * n, 2))
+    x = np.zeros((2, 1, 32, 32), dtype=np.float32)
     for start, stop in ((4, 4), (5, 3), (-1, 6), (0, 2 * n + 1)):
         with pytest.raises(ContractError, match="point range"):
             forward(net, x, MODE_EVAL, STAGE_META_TESTING, start=start, stop=stop)
