@@ -22,12 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ops
-from .data import Dataset, EpisodeSpec, sample_episode
+from .data import Batch, Dataset, EpisodeSpec, sample_episode
 from .errors import ContractError
 from .meta import (
     KnowledgeState,
     MetaTestConfig,
     TrainConfig,
+    adaptation_cut,
     meta_test,
     meta_test_prefix,
     meta_train,
@@ -84,19 +85,54 @@ class EvalReport:
 
 
 def _embed(net: Network, images: np.ndarray, cut: int, chunk: int) -> np.ndarray:
-    """An eval-mode forward of `net` up to point `cut` on every image, in forwards of exactly `chunk` images.
+    """An eval-mode forward of `net` up to point `cut` on every image, in GEMMs of exactly `chunk` images.
 
-    The last chunk is zero-padded and the padding trimmed off.  A row's bits
-    depend on the row count of each layer's GEMM, not on the other images in
-    the batch, so with `chunk` the size of an episode's query set every row is
-    bitwise the one that episode's own query forward would give.
+    The last chunk is zero-padded and the padding trimmed off.  The chunks
+    run in groups of up to _CONV_STACK_FLOATS input floats, each group one
+    forward whose convs hold a read-only broadcast of their kernels and
+    biases with one slice per chunk, so every GEMM is one slice of that chunk's shape (see
+    ops.conv2d).  A row's bits depend on the row count of each layer's GEMM,
+    so with `chunk` the size of an episode's query or support set every row
+    is bitwise the one that episode's own forward would give, wherever the
+    position probe (`_position_free`) passes.
     """
     n = len(images)
     padded = np.zeros((-(-n // chunk) * chunk, *images.shape[1:]), dtype=images.dtype)
     padded[:n] = images
-    parts = [forward(net, padded[i : i + chunk], MODE_EVAL, STAGE_META_TESTING, stop=cut).data
-             for i in range(0, len(padded), chunk)]
+    group = chunk * max(1, _CONV_STACK_FLOATS // (chunk * int(np.prod(images.shape[1:]))))
+    grouped = net.clone()
+    params = [(t, t.data) for layer in grouped.layers[: (cut + 1) // 2] for t in layer.params().values()]
+    parts = []
+    for first in range(0, len(padded), group):
+        batch = padded[first : first + group]
+        for t, data in params:
+            t.data = np.broadcast_to(data, (len(batch) // chunk, *data.shape))
+        parts.append(forward(grouped, batch, MODE_EVAL, STAGE_META_TESTING, stop=cut).data)
     return np.concatenate(parts)[:n]
+
+
+def _position_free(net: Network, first: np.ndarray, cut: int) -> bool:
+    """The position probe: whether the rows of `first` at point `cut` keep their bits wherever they sit in the batch.
+
+    It runs `first` as one plain forward, as an episode runs its own set,
+    then rotated by one and reversed through `_embed`, and compares every
+    row bit for bit.  With some OpenBLAS kernels (`Haswell`) a row's bits
+    change when it moves into or out of the last position of a batch.
+    """
+    rows = forward(net, first, MODE_EVAL, STAGE_META_TESTING, stop=cut).data
+    orders = np.concatenate([np.roll(np.arange(len(first)), 1), np.arange(len(first))[::-1]])
+    return _embed(net, first[orders], cut, len(first)).tobytes() == rows[orders].tobytes()
+
+
+def _cache(net: Network, images: np.ndarray, cut: int, chunk: int) -> tuple[np.ndarray, int]:
+    """`_embed`'s rows of `images` and `cut`, or the images and point 0 at cut 0 or where the position probe fails.
+
+    A cache whose rows sit elsewhere in their chunk than in an episode's own
+    forward gives that episode its bits only where the probe passes.
+    """
+    if cut and _position_free(net, images[:chunk], cut):
+        return _embed(net, images, cut, chunk), cut
+    return images, 0
 
 
 def _episode_rng(seed: int, index: int) -> Rng:
@@ -129,9 +165,17 @@ def _stack_size(state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig)
     return max(1, min(_STACK, _CONV_STACK_FLOATS // floats))
 
 
-def _accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec,
-                mcfg: MetaTestConfig, seed: int, feats: np.ndarray, cut: int) -> list[float]:
-    """The accuracies of episodes `indices` from one meta_test call and one query forward from point `cut` on."""
+def _accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec, mcfg: MetaTestConfig,
+                seed: int, query_cache: tuple[np.ndarray, int], support_cache: tuple[np.ndarray, int]) -> list[float]:
+    """The accuracies of episodes `indices` from one meta_test call and one query forward.
+
+    Each cache is (rows of the view at a point, that point); at point 0 the
+    rows are the images.  Where the query cache stops short of
+    `meta_test_prefix`, the stack's query sets run up to it as `_embed`
+    chunks of one query set each, as each episode's own forward would.
+    """
+    (feats, cut), (support_feats, support_cut) = query_cache, support_cache
+    prefix = meta_test_prefix(state, mcfg)
     rngs = [_episode_rng(seed, i) for i in indices]
     queries = []  # (query rows of feats, query labels) per episode
 
@@ -140,11 +184,13 @@ def _accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpe
         for rng in rngs:
             episode = sample_episode(view, espec, rng.derive("sample"))
             queries.append((episode.query_idx, episode.query.y))
-            yield episode.support
+            yield Batch(support_feats[episode.support_idx], episode.support.y)
 
-    adapted = meta_test(state, supports(), mcfg, rngs)
+    adapted = meta_test(state, supports(), mcfg, rngs, start=support_cut)
     rows = np.concatenate([feats[idx] for idx, _ in queries])
-    logits = forward(adapted.network, rows, MODE_EVAL, STAGE_META_TESTING, start=cut).data
+    if cut < prefix:
+        rows = _embed(state.network, rows, prefix, espec.C * espec.Q_query)
+    logits = forward(adapted.network, rows, MODE_EVAL, STAGE_META_TESTING, start=prefix).data
     return [_accuracy(episode_logits, y) for episode_logits, (_, y) in zip(logits, queries)]
 
 
@@ -177,10 +223,16 @@ def evaluate_fewshot(
 
     The part of the forward that meta_test leaves unchanged, up to the point
     `meta_test_prefix`, runs once per call over the whole view, and each
-    episode classifies its query from those features; the result is bitwise
-    that of full query forwards.  When the episodes read fewer query images
-    than the view holds, embedding it would cost more than it saves, so each
-    query runs the whole network.
+    episode classifies its query from those features.  With freeze_meta and
+    finetune steps, the part that meta_test runs once per support set, up
+    to the point `adaptation_cut`, runs once per call over the whole view
+    too, and meta_test adapts each episode from its support rows (`start`).
+    Each cache is built in chunks of one query or one support set, after a
+    position probe (`_position_free`), so the result is bitwise that of
+    per-episode forwards; where the probe fails, that cache is skipped.
+    When the episodes read fewer query (support) images than the view
+    holds, embedding it would cost more than it saves, and that cache is
+    skipped too.
 
     The episodes run in stacks, each adapted by one meta_test call and
     classified by one query forward, with the bytes of per-episode
@@ -195,11 +247,14 @@ def evaluate_fewshot(
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
-    short = n_episodes * espec.C * espec.Q_query < novel_view.n_samples
-    cut = 0 if short else meta_test_prefix(state, mcfg)
-    images = novel_view.images
-    feats = _embed(state.network, images, cut, espec.C * espec.Q_query) if cut else images
-    args = (state, novel_view, espec, mcfg, seed, feats, cut)
+    n, query_size, support_size = novel_view.n_samples, espec.C * espec.Q_query, espec.C * espec.K
+    short = n_episodes * query_size < n
+    query_cut = 0 if short else meta_test_prefix(state, mcfg)
+    # without freeze_meta, meta_test adapts conv1 and the adaptation cut is 0
+    support_cut = adaptation_cut(state, mcfg) if mcfg.finetune_steps and n_episodes * support_size >= n else 0
+    images, net = novel_view.images, state.network
+    args = (state, novel_view, espec, mcfg, seed,
+            _cache(net, images, query_cut, query_size), _cache(net, images, support_cut, support_size))
     size = 1 if short else _stack_size(state, espec, mcfg)
     stacks = [range(first, min(first + size, n_episodes)) for first in range(0, n_episodes, size)]
     if jobs > 1:

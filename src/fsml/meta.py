@@ -221,11 +221,14 @@ def _cut(net: Network, param_ids, stage: str, specs) -> int:
     return 2 * (len(net.layers) - 1)
 
 
-def _to_cut(net: Network, images: np.ndarray, stage: str, specs, rng, cut: int) -> Tensor:
-    """An adaptation forward on `images` up to point `cut` (`_cut`), off the tape; it draws no mask."""
-    if not cut:
-        return Tensor(images)
-    return forward(net, images, MODE_TRAIN, stage, specs, rng, stop=cut)
+def _to_cut(net: Network, x: np.ndarray, stage: str, specs, rng, cut: int, start: int = 0) -> Tensor:
+    """An adaptation forward on `x`, the activation at point `start`, up to point `cut` (`_cut`), off the tape.
+
+    It draws no mask; with `start` == `cut` it runs nothing.
+    """
+    if start == cut:
+        return Tensor(x)
+    return forward(net, x, MODE_TRAIN, stage, specs, rng, start=start, stop=cut)
 
 
 def _descend(state: KnowledgeState, x: Tensor, y: np.ndarray, cut: int, steps: int, lr: float,
@@ -362,9 +365,10 @@ def _meta_train(net: Network, partition: ParamPartition, cfg: TrainConfig, regim
             f"meta-dropout {spec.kind} on {'&'.join(sorted(spec.placements))}"
         log.warning(
             "seed %d: last epoch's meta_loss %.4f is still at or above ln %d = %.4f, the loss of a uniform guess "
-            "(%s, batch %d, %s)",
-            cfg.seed, state.log[-1]["meta_loss"], net.n_classes, math.log(net.n_classes),
-            regime, cfg.batch_size, dropout,
+            "(%s, %s, %s)",
+            cfg.seed, state.log[-1]["meta_loss"], net.n_classes, math.log(net.n_classes), regime,
+            f"M {cfg.M}, inner_steps {cfg.inner_steps}" if regime == "episodic" else f"batch {cfg.batch_size}",
+            dropout,
         )
     net.load_values(prototype)
     net.bind(None)
@@ -459,7 +463,7 @@ def _test_specs(state: KnowledgeState, cfg: MetaTestConfig) -> tuple[DropoutSpec
 
 
 @ops.one_blas_thread()
-def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> KnowledgeState:
+def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng, start: int = 0) -> KnowledgeState:
     """Adapt a trained state to one novel task, or to E at once; returns a new state.
 
     The head is reshaped to the task's class count and freshly initialized;
@@ -480,6 +484,10 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> Knowl
     episodes must share one class count and one support size.  The support
     sets are read once, in order, and none is kept, so a generator holds one
     episode's images at a time.
+
+    `start` is the point (see `forward`) that every support `x` sits at: 0
+    for images, or the adaptation cut (`adaptation_cut`) for rows that an
+    eval-mode forward up to it gave, which then skip the support forward.
     """
     one = isinstance(rng, Rng)
     supports, rngs = ([support], [rng]) if one else (support, list(rng))
@@ -493,7 +501,7 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> Knowl
     for episode_support, mask_rng in zip(supports, mask_rngs):
         ways.add(_n_way(episode_support))
         if cfg.finetune_steps > 0:
-            xs.append(_to_cut(net, episode_support.x, STAGE_META_TESTING, specs, mask_rng, cut).data)
+            xs.append(_to_cut(net, episode_support.x, STAGE_META_TESTING, specs, mask_rng, cut, start).data)
         ys.append(episode_support.y)
     if len(ys) != len(rngs):
         raise ContractError(f"{len(ys)} support sets for {len(rngs)} rngs")
@@ -515,14 +523,17 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng) -> Knowl
     return adapted
 
 
+def adaptation_cut(state: KnowledgeState, cfg: MetaTestConfig) -> int:
+    """The point up to which meta_test runs each support set once, before its steps (`_cut`)."""
+    return _cut(state.network, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
+
+
 def step_start(state: KnowledgeState, cfg: MetaTestConfig) -> int:
     """The index of the first layer with parameters that each adaptation step of meta_test runs.
 
     It is the head's index when the steps run nothing else with parameters.
     """
-    net = state.network
-    cut = _cut(net, _adapted_ids(state.partition, cfg), STAGE_META_TESTING, _test_specs(state, cfg))
-    return _step_start(net, cut)
+    return _step_start(state.network, adaptation_cut(state, cfg))
 
 
 def _step_start(net: Network, cut: int) -> int:

@@ -2,7 +2,9 @@
 
 import csv
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,6 +33,7 @@ from fsml.meta import (
     KnowledgeState,
     MetaTestConfig,
     TrainConfig,
+    adaptation_cut,
     meta_test,
     meta_test_prefix,
     meta_train_pretrain,
@@ -45,6 +48,7 @@ from fsml.nn import (
     partition_params,
 )
 from fsml.rng import Rng
+from fsml.tensor import Tensor
 
 CONV_TAGS = frozenset({"conv1", "conv2", "conv3", "conv4"})
 
@@ -210,18 +214,40 @@ def trained_32px():
 @pytest.mark.parametrize("cut", [6, 10])
 def test_chunked_embedding_rows_equal_any_forward_of_that_many_images(trained_32px, chunk, cut):
     # the cache rests on this: a row's bits depend on the batch size, not on
-    # which images share the batch or where the row sits in it
+    # which images share the batch or, where the position probe passes, where
+    # the row sits in it
     state, novel = trained_32px
     assert novel.n_samples % chunk != 0
     feats = evaluate_module._embed(state.network, novel.images, cut, chunk)
     assert feats.shape[0] == novel.n_samples
+    probe_passes = evaluate_module._position_free(state.network, novel.images[:chunk], cut)
     rng = Rng(chunk * 10 + cut)
     batches = [np.array(rng.choice(novel.n_samples, chunk)) for _ in range(4)]
     batches.append(np.arange(novel.n_samples - 1, novel.n_samples - 1 - chunk, -1))
     for idx in batches:
         rows = forward(state.network, novel.images[idx], MODE_EVAL, STAGE_META_TESTING, stop=cut).data
         assert rows.dtype == feats.dtype
-        assert np.array_equal(rows, feats[idx])
+        # where a row's bits move with its position, the probe must report it
+        assert np.array_equal(rows, feats[idx]) or not probe_passes
+
+
+@pytest.mark.parametrize("moved_row", [None, 0, -1])
+def test_the_position_probe_fails_a_forward_that_changes_one_position(trained_32px, monkeypatch, moved_row):
+    state, novel = trained_32px
+
+    def forward_that_moves(net, batch, *args, **kwargs):
+        # every row a function of its own image alone, but for the one at `moved_row`
+        out = Tensor(batch + 1)
+        if moved_row is not None:
+            out.data[moved_row] += 1
+        return out
+
+    monkeypatch.setattr(evaluate_module, "forward", forward_that_moves)
+    for chunk in (5, 20):
+        assert evaluate_module._position_free(state.network, novel.images[:chunk], 10) == (moved_row is None)
+        feats, cut = evaluate_module._cache(state.network, novel.images, 10, chunk)
+        assert cut == (10 if moved_row is None else 0)
+        assert feats is novel.images or moved_row is None
 
 
 def reference_episodes(state, view, espec, mcfg, n_episodes, seed):
@@ -252,55 +278,91 @@ def _task_drop(place):
 
 
 _FROZEN = MetaTestConfig(Q=12, finetune_steps=3, finetune_lr=1.0)
-# case -> (meta tags, meta-test config, jobs, expected cut: the point 2k, the input of layer k)
+# case -> (meta tags, meta-test config, jobs, expected cuts: the points 2k, the input of layer k, or 2k + 1, what
+# layer k's mask sees, of the query cache (meta_test_prefix) and the support cache (adaptation_cut))
 CACHE_CASES = {
-    "frozen": (CONV_TAGS, _FROZEN, 1, 10),
-    "task dropout on conv4": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv4")), 1, 10),
-    "task dropout on flatten": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("flatten")), 1, 10),
-    "conv4 is task knowledge": (CONV_TAGS - {"conv4"}, _FROZEN, 1, 6),
-    "unfrozen": (CONV_TAGS, replace(_FROZEN, freeze_meta=False, finetune_lr=0.1), 1, 0),
-    "jobs=2": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv4")), 2, 10),
+    "frozen": (CONV_TAGS, _FROZEN, 1, 10, 10),
+    "task dropout on conv4": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv4")), 1, 10, 7),
+    "task dropout on flatten": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("flatten")), 1, 10, 9),
+    "conv4 is task knowledge": (CONV_TAGS - {"conv4"}, _FROZEN, 1, 6, 6),
+    "unfrozen": (CONV_TAGS, replace(_FROZEN, freeze_meta=False, finetune_lr=0.1), 1, 0, 0),
+    "jobs=2": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv4")), 2, 10, 7),
+    "task dropout on conv3": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv3")), 1, 10, 5),
+    "dropblock on conv4": (CONV_TAGS, replace(_FROZEN, task_dropout=DropoutSpec(
+        "dropblock", 0.7, frozenset({"conv4"}), STAGE_META_TESTING, 3)), 1, 10, 7),
+    "jobs=2, task dropout on conv3": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv3")), 2, 10, 5),
 }
 
 
 @pytest.mark.parametrize("case", list(CACHE_CASES))
-def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypatch):
-    tags, mcfg, jobs, cut = CACHE_CASES[case]
+def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypatch, tmp_path):
+    tags, mcfg, jobs, cut, support_cut = CACHE_CASES[case]
     trained, novel = trained_32px
     state = KnowledgeState(trained.network, partition_params(trained.network, tags), seed=7)
     assert meta_test_prefix(state, mcfg) == cut
-    logits, heads = [], []
-    accuracy = evaluate_module._accuracy
+    assert adaptation_cut(state, mcfg) == support_cut
+    logits, heads = [], []  # of the stack being run, in the process that runs it
+    accuracy, accuracies = evaluate_module._accuracy, evaluate_module._accuracies
 
     def recording_accuracy(rows, query_y):  # every path scores each episode's query logits here
         logits.append(rows)
         return accuracy(rows, query_y)
 
-    def recording_meta_test(*args):  # every stack adapts here; its head holds one slice per episode
-        adapted = meta_test(*args)
+    def recording_meta_test(*args, **kwargs):  # every stack adapts here; its head holds one slice per episode
+        adapted = meta_test(*args, **kwargs)
         n_stacked = len(next(iter(adapted.network.head.params().values())).data)
         heads.extend(head_values(adapted.network, e) for e in range(n_stacked))
         return adapted
 
+    def recording_accuracies(indices, *args):  # every stack runs here, in a pool worker when jobs > 1
+        logits.clear()
+        heads.clear()
+        accs = accuracies(indices, *args)
+        (tmp_path / f"stack-{indices[0]:03d}.pkl").write_bytes(pickle.dumps((list(indices), logits, heads)))
+        return accs
+
     monkeypatch.setattr(evaluate_module, "_accuracy", recording_accuracy)
     monkeypatch.setattr(evaluate_module, "meta_test", recording_meta_test)
-    # query sets of 20, 15 and 6 images; at 6, rows from larger batches differ.
-    # One episode reads fewer query images than the 63 of the view, so it skips the cache
+    monkeypatch.setattr(evaluate_module, "_accuracies", recording_accuracies)
+    # query sets of 20, 15, 6 and 15 images; at 6, rows from larger batches differ.
+    # Support sets of 5, 6, 2 and 10 images: 12 episodes read the view's 63
+    # images at 6 and 10 (a padded last chunk of 3) and cache it.  One or
+    # two episodes read fewer images than the view holds, so they skip both
+    # caches
     for espec in (EpisodeSpec(C=5, K=1, Q_query=4), EpisodeSpec(C=3, K=2, Q_query=5),
-                  EpisodeSpec(C=2, K=1, Q_query=3)):
-        for n in (12, 1):
-            logits.clear()
-            heads.clear()
+                  EpisodeSpec(C=2, K=1, Q_query=3), EpisodeSpec(C=5, K=2, Q_query=3)):
+        for n in (12, 2, 1):
+            for path in tmp_path.glob("stack-*.pkl"):
+                path.unlink()
             report = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=3, jobs=jobs)
             ref_accs, ref_logits, ref_heads = reference_episodes(state, novel, espec, mcfg, n, seed=3)
             assert report.per_episode_acc == ref_accs
-            if jobs == 1:
-                assert len(logits) == n
-                assert all(np.array_equal(a, b) for a, b in zip(logits, ref_logits))
-                assert len(heads) == n
-                for got, want in zip(heads, ref_heads):
-                    assert got.keys() == want.keys()
-                    assert all(got[pid].tobytes() == want[pid].tobytes() for pid in want)
+            if jobs > 1 and multiprocessing.get_start_method() != "fork":
+                continue  # the workers do not inherit the recording functions
+            stacks = [pickle.loads(path.read_bytes()) for path in sorted(tmp_path.glob("stack-*.pkl"))]
+            assert [i for indices, _, _ in stacks for i in indices] == list(range(n))
+            got_logits = [rows for _, stack_logits, _ in stacks for rows in stack_logits]
+            assert len(got_logits) == n
+            assert all(np.array_equal(a, b) for a, b in zip(got_logits, ref_logits))
+            got_heads = [head for _, _, stack_heads in stacks for head in stack_heads]
+            assert len(got_heads) == n
+            for got, want in zip(got_heads, ref_heads):
+                assert got.keys() == want.keys()
+                assert all(got[pid].tobytes() == want[pid].tobytes() for pid in want)
+
+
+def test_a_failed_position_probe_gives_the_same_report_uncached(trained_32px, monkeypatch):
+    state, novel = trained_32px
+    espec = EpisodeSpec(C=5, K=1, Q_query=4)
+    n = 13  # 65 support images, against 63 in the view: both caches run
+    mcfg = replace(_FROZEN, task_dropout=_task_drop("conv4"))
+    cached = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
+    calls = count_convs(monkeypatch)
+    monkeypatch.setattr(evaluate_module, "_position_free", lambda *args: False)
+    assert evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1) == cached
+    # no probe ran a conv: per episode, the support forward up to conv4's
+    # mask and the query forward up to the head, each of its own images
+    assert len(calls) == 8 * n
 
 
 @pytest.mark.parametrize("stack", [1, 5])
@@ -334,9 +396,9 @@ def test_evaluate_makes_one_meta_test_call_per_stack(trained_32px, monkeypatch, 
     assert (case == "short, uncached") == (n * espec.C * espec.Q_query < novel.n_samples)
     stacks = []
 
-    def counting_meta_test(state, supports, mcfg, rngs):
+    def counting_meta_test(state, supports, mcfg, rngs, **kwargs):
         stacks.append(len(rngs))
-        return meta_test(state, supports, mcfg, rngs)
+        return meta_test(state, supports, mcfg, rngs, **kwargs)
 
     monkeypatch.setattr(evaluate_module, "_STACK", stack)
     monkeypatch.setattr(evaluate_module, "meta_test", counting_meta_test)
@@ -345,7 +407,8 @@ def test_evaluate_makes_one_meta_test_call_per_stack(trained_32px, monkeypatch, 
     assert sum(stacks) == n
 
 
-def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
+def count_convs(monkeypatch) -> list:
+    """A list that gains one item per ops.conv2d call from here on."""
     calls = []
     conv2d = ops.conv2d
 
@@ -354,48 +417,69 @@ def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
         return conv2d(*args, **kwargs)
 
     monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    return calls
+
+
+def passing_probe(monkeypatch) -> None:
+    """Run the position probe, convs and all, and take its pass whatever the kernel gives."""
+    probe = evaluate_module._position_free
+    monkeypatch.setattr(evaluate_module, "_position_free", lambda *args: probe(*args) or True)
+
+
+# the convs of the query cache of 5-way episodes with 4 queries, over 63 images:
+# the probe's plain forward and its two 20-image chunks, each a group of one,
+# then the view in 4 chunks of 20
+QUERY_CACHE_CONVS = 4 * (1 + 2) + 4 * math.ceil(63 / 20)
+
+
+def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
+    passing_probe(monkeypatch)
+    calls = count_convs(monkeypatch)
     state, novel = trained_32px
     espec = EpisodeSpec(C=5, K=1, Q_query=4)
     n = 7
     evaluate_fewshot(state, novel, espec, _FROZEN, n_episodes=n, seed=1)
-    # 4 convs per chunk of C * Q_query images, plus the support prefix of each
-    # episode; without the cache each query forward adds 4 more per episode
-    assert len(calls) == 4 * math.ceil(novel.n_samples / 20) + 4 * n
+    # the query cache, plus the support prefix of each episode: 35 support
+    # images are fewer than the 63 of the view, so they are not cached.
+    # Without the cache each query forward adds 4 more per episode
+    assert len(calls) == QUERY_CACHE_CONVS + 4 * n
+
+
+def test_frozen_evaluate_embeds_the_support_sets_once(trained_32px, monkeypatch):
+    passing_probe(monkeypatch)
+    calls = count_convs(monkeypatch)
+    state, novel = trained_32px
+    espec = EpisodeSpec(C=5, K=1, Q_query=4)
+    n = 13
+    for mcfg in (_FROZEN, replace(_FROZEN, task_dropout=_task_drop("conv4"))):
+        calls.clear()
+        evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
+        # a chunk of 5 images holds 5,120 floats, so a group holds 6 chunks:
+        # the probe's plain forward and one group of its two chunks, then the
+        # view in 13 chunks (the last padded) and 3 groups; no episode runs a conv
+        assert len(calls) == QUERY_CACHE_CONVS + 4 * (1 + 1) + 4 * 3
 
 
 def test_task_dropout_on_conv4_costs_four_convs_per_episode(trained_32px, monkeypatch):
-    calls = []
-    conv2d = ops.conv2d
-
-    def counting_conv2d(*args, **kwargs):
-        calls.append(1)
-        return conv2d(*args, **kwargs)
-
-    monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    passing_probe(monkeypatch)
+    calls = count_convs(monkeypatch)
     state, novel = trained_32px
     espec = EpisodeSpec(C=5, K=1, Q_query=4)
     n = 7
     mcfg = replace(_FROZEN, finetune_steps=5, task_dropout=_task_drop("conv4"))
     evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
     # the support forward runs conv4 up to its mask once, not on each of the 5 steps
-    assert len(calls) == 4 * math.ceil(novel.n_samples / 20) + 4 * n
+    assert len(calls) == QUERY_CACHE_CONVS + 4 * n
 
 
 def test_small_frozen_evaluate_skips_the_cache(trained_32px, monkeypatch):
-    calls = []
-    conv2d = ops.conv2d
-
-    def counting_conv2d(*args, **kwargs):
-        calls.append(1)
-        return conv2d(*args, **kwargs)
-
-    monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+    calls = count_convs(monkeypatch)
     state, novel = trained_32px
     espec = EpisodeSpec(C=5, K=1, Q_query=4)
     n = 2
     assert n * espec.C * espec.Q_query < novel.n_samples
     evaluate_fewshot(state, novel, espec, _FROZEN, n_episodes=n, seed=1)
-    # no embedding of the view: per episode, the support prefix and the query forward
+    # no embedding of the view and no probe: per episode, the support prefix and the query forward
     assert len(calls) == 8 * n
 
 

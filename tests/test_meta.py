@@ -344,11 +344,26 @@ def test_plateau_warning_names_the_training_cell(caplog, regime):
     messages = [r.getMessage() for r in caplog.records if r.name == "fsml"]
     assert len(messages) == 1
     assert messages[0].startswith("seed 3: last epoch's meta_loss")
-    assert messages[0].endswith(f"({regime}, batch 8, meta-dropout {spec.kind} on conv3&conv4)")
+    # an episodic run reads M and inner_steps, never batch_size
+    cell = "batch 8" if regime == "pretrain_finetune" else "M 1, inner_steps 0"
+    assert messages[0].endswith(f"({regime}, {cell}, meta-dropout {spec.kind} on conv3&conv4)")
     with caplog.at_level(logging.WARNING, logger="fsml"):
         caplog.clear()
         separable_pretrain(1e-12)
     assert caplog.records[-1].getMessage().endswith("(pretrain_finetune, batch 8, no meta-dropout)")
+
+
+def test_episodic_plateau_warning_names_m_and_inner_steps(caplog):
+    view = gen_synthetic(SyntheticSpec(
+        n_classes=4, samples_per_class=8, image_extent=16, cluster_std=0.1, class_separation=5.0, seed=2))
+    net = build_conv4((8, 8, 8, 8), (1, 16, 16), 2, "cosine", Rng(7))
+    cfg = TrainConfig(M=3, inner_steps=2, inner_lr=1e-12, meta_lr=1e-12, meta_epochs=2, batch_size=5, seed=4)
+    with caplog.at_level(logging.WARNING, logger="fsml"):
+        meta_train("episodic", view, EpisodeSpec(C=2, K=1, Q_query=2), net, partition_params(net, CONV_TAGS), cfg)
+    messages = [r.getMessage() for r in caplog.records if r.name == "fsml"]
+    assert len(messages) == 1
+    assert messages[0].endswith("(episodic, M 3, inner_steps 2, no meta-dropout)")
+    assert "batch" not in messages[0]
 
 
 def test_learning_run_logs_no_warning(caplog):

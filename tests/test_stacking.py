@@ -9,7 +9,8 @@ premise alone, not the row invariance of the query cache (see
 tests/test_eval.py).  Every config stacks: head-only adaptation, the whole
 backbone adapting, task dropout in the backbone, and conv4 as task
 knowledge.  A stack of one episode equals the one-episode form too.  The
-tripwire reruns both comparisons under other OpenBLAS kernels.
+tripwires rerun both comparisons, the cache tests of tests/test_eval.py and
+tests/test_fast_paths.py under other OpenBLAS kernels.
 """
 
 import json
@@ -170,6 +171,37 @@ def test_stacking_premise_holds_on_other_openblas_kernels(core):
                          check=True, timeout=300).stdout.strip().splitlines()[-1]
     assert json.loads(out) == {"stacked": {case: [] for case in STACK_CASES},
                                "one episode": {case: [] for case in ONE_EPISODE_CASES}}
+
+
+# the tests of the view caches and of the training fast paths, each bitwise
+# against a plain path, rerun whole in a child under another kernel
+_KERNEL_TESTS = [
+    *(f"test_eval.py::{name}" for name in (
+        "test_chunked_embedding_rows_equal_any_forward_of_that_many_images",
+        "test_the_position_probe_fails_a_forward_that_changes_one_position",
+        "test_cached_evaluate_equals_full_query_forwards",
+        "test_a_failed_position_probe_gives_the_same_report_uncached",
+        "test_stacks_of_any_size_give_the_same_report",
+        "test_evaluate_makes_one_meta_test_call_per_stack",
+        "test_frozen_evaluate_embeds_each_image_once",
+        "test_frozen_evaluate_embeds_the_support_sets_once",
+        "test_task_dropout_on_conv4_costs_four_convs_per_episode",
+        "test_small_frozen_evaluate_skips_the_cache",
+    )),
+    "test_fast_paths.py",
+]
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Prescott"])
+def test_cache_and_fast_path_tests_pass_on_other_openblas_kernels(core):
+    # the kernel is forced in the child's environment only; this process keeps its own
+    if ops._openblas() is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    tests_dir = os.path.dirname(__file__)
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.path.dirname(os.path.dirname(ops.__file__))}
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *_KERNEL_TESTS],
+                           capture_output=True, text=True, env=env, cwd=tests_dir, timeout=600)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------
