@@ -148,49 +148,26 @@ def _seed_rate(keep_prob: float, block_size: int, h: int, w: int) -> float:
     return ((1.0 - keep_prob) / (block_size * block_size)) * (h * w / valid)
 
 
-def _dropblock_draw(gamma: float, block: int, shape, rng: Rng, dtype: np.dtype):
-    """One draw of block masks for a [B, C, H, W] map: (values, kept units per sample).
+def _dropblock_values(keep_prob: float, block: int, shape, rng: Rng, dtype: np.dtype) -> np.ndarray:
+    """Dropblock values for a [B, C, H, W] map, equal to B draws of one sample each.
 
     A seed at (ci, cj) drops [ci, ci+block) x [cj, cj+block), which fits by
     construction, so the dropped units are the seed map dilated by
-    block x block shifted ORs.
+    block x block shifted ORs.  Survivors are rescaled per sample, and a
+    sample whose draw drops every unit is kept whole.
     """
     b, c, h, w = shape
+    if block > min(h, w):
+        raise ConfigurationError(f"block_size {block} exceeds feature extent {min(h, w)}")
     vh, vw = h - block + 1, w - block + 1
-    seeds = rng.uniform_array((b, c, vh, vw)) < gamma
+    seeds = rng.uniform_array((b, c, vh, vw)) < _seed_rate(keep_prob, block, h, w)
     dropped = np.zeros(shape, dtype=bool)
     for i in range(block):
         for j in range(block):
             dropped[:, :, i : i + vh, j : j + vw] |= seeds
     kept = c * h * w - np.count_nonzero(dropped, axis=(1, 2, 3))
-    scale = (c * h * w / np.maximum(kept, 1)).astype(dtype)
-    return ~dropped * scale[:, None, None, None], kept
-
-
-def _dropblock_values(keep_prob: float, block: int, shape, rng: Rng, dtype: np.dtype) -> np.ndarray:
-    """Dropblock values for a [B, C, H, W] map, equal to B draws of one sample each.
-
-    A sample whose draw drops every unit is drawn once more, and kept whole
-    if that draw drops everything too.  The rng is counter-based, so one draw
-    for the batch equals the per-sample draws until a sample needs that
-    resample; from that sample on the draws go one sample at a time.
-    """
-    b, c, h, w = shape
-    if block > min(h, w):
-        raise ConfigurationError(f"block_size {block} exceeds feature extent {min(h, w)}")
-    gamma = _seed_rate(keep_prob, block, h, w)
-    values, kept = _dropblock_draw(gamma, block, shape, rng, dtype)
-    empty = np.flatnonzero(kept == 0)
-    if empty.size:
-        # rewind to the draw of the first empty sample and go on one sample at a time
-        k = int(empty[0])
-        rng.advance(-(b - k) * c * (h - block + 1) * (w - block + 1))
-        for s in range(k, b):
-            for _ in range(2):
-                one, one_kept = _dropblock_draw(gamma, block, (1, c, h, w), rng, dtype)
-                if one_kept[0]:
-                    break
-            values[s] = one[0] if one_kept[0] else 1
+    values = ~dropped * (c * h * w / np.maximum(kept, 1)).astype(dtype)[:, None, None, None]
+    values[kept == 0] = 1
     return values
 
 
@@ -200,8 +177,10 @@ def make_dropout_mask(spec: DropoutSpec, shape: tuple[int, ...], rng: Rng, dtype
     standard accepts any shape and draws every unit independently.  spatial
     and dropblock take one sample's [C, H, W] map, or a batch [B, C, H, W]
     whose mask, and the rng state it leaves, equal B per-sample draws in
-    order.  keep_prob == 1 short-circuits to all-ones without touching the
-    rng, so a disabled spec can never perturb later draws.
+    order.  A dropblock sample takes C*(H-b+1)*(W-b+1) draws, one per seed
+    site, and is kept whole if its draw drops every unit.  keep_prob == 1
+    short-circuits to all-ones without touching the rng, so a disabled spec
+    can never perturb later draws.
     """
     shape = tuple(int(d) for d in shape)
     dt = np.dtype(dtype)

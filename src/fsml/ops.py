@@ -321,11 +321,13 @@ def maxpool2(x: Tensor) -> Tensor:
     quads = quads.reshape(4, bsz, c, h // 2, w // 2)
     out = quads[0].copy()
     out_bits, quad_bits = _bits(out), _bits(quads)
-    idx = np.zeros(out.shape, dtype=np.uint8)
+    # the backward index, built only for an input on a tape
+    idx = None if x.tape is None else np.zeros(out.shape, dtype=np.uint8)
     for q in (1, 2, 3):
         take = ~(quads[q] <= out) & (out == out)
         out_bits ^= (out_bits ^ quad_bits[q]) & _bit_mask(take, out)  # out = where(take, quads[q], out)
-        np.maximum(idx, take.view(np.uint8) * np.uint8(q), out=idx)  # q only grows: the last take wins
+        if idx is not None:
+            np.maximum(idx, take.view(np.uint8) * np.uint8(q), out=idx)  # q only grows: the last take wins
 
     def grad_x(g):
         gb = g[None] if squeeze else g

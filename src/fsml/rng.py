@@ -95,9 +95,6 @@ class Rng:
         z[1::2] = r * np.sin(2.0 * math.pi * u2)
         return z[:n].reshape(shape)
 
-    def gauss(self) -> float:
-        return float(self.normal_array((1,))[0])
-
     def randint(self, n: int) -> int:
         """Uniform int in [0, n) without modulo bias (rejection sampling)."""
         if n <= 0:

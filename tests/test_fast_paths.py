@@ -7,6 +7,9 @@ kept here as the reference: per-sample mask draws with a loop over block
 centres, argmax pooling over a reshaped window, a backward through a
 (4, ...) quadrant buffer and one transposed copy, im2col from a
 sliding-window view, col2im over the transposed NCHW taps, and np.where.
+A dropblock sample takes one draw, and a draw that drops every unit leaves
+its sample whole, so a batch draw moves the rng by exactly one draw per
+seed site of the batch.
 """
 
 import numpy as np
@@ -27,8 +30,12 @@ from fsml.rng import Rng
 from fsml.tensor import Tape, Tensor, backward
 
 
-def reference_mask(spec, shape, rng, dtype, resamples=None):
-    """One sample's [C, H, W] spatial or dropblock mask, drawn as fsml once did."""
+def reference_mask(spec, shape, rng, dtype, empties=None):
+    """One sample's [C, H, W] spatial or dropblock mask from one draw, with a loop over block centres.
+
+    A dropblock draw that drops every unit leaves the sample whole; with
+    `empties`, each such draw appends its sample's values there.
+    """
     dt = np.dtype(dtype)
     c, h, w = shape
     if spec.kind == "spatial":
@@ -39,17 +46,17 @@ def reference_mask(spec, shape, rng, dtype, resamples=None):
     block = spec.block_size
     valid = (h - block + 1) * (w - block + 1)
     gamma = ((1.0 - spec.keep_prob) / (block * block)) * (h * w / valid)
-    for attempt in range(2):
-        keep = np.ones(shape, dtype=dt)
-        centers = rng.uniform_array((c, h - block + 1, w - block + 1)) < gamma
-        for ch, ci, cj in zip(*np.nonzero(centers)):
-            keep[ch, ci : ci + block, cj : cj + block] = 0.0
-        kept = int(np.count_nonzero(keep))
-        if kept:
-            return keep * dt.type(keep.size / kept)
-        if resamples is not None:
-            resamples.append(attempt)
-    return np.ones(shape, dtype=dt)
+    keep = np.ones(shape, dtype=dt)
+    centers = rng.uniform_array((c, h - block + 1, w - block + 1)) < gamma
+    for ch, ci, cj in zip(*np.nonzero(centers)):
+        keep[ch, ci : ci + block, cj : cj + block] = 0.0
+    kept = int(np.count_nonzero(keep))
+    if kept:
+        return keep * dt.type(keep.size / kept)
+    values = np.ones(shape, dtype=dt)
+    if empties is not None:
+        empties.append(values)
+    return values
 
 
 MASK_CASES = [
@@ -66,19 +73,46 @@ MASK_CASES = [
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_mask_equals_per_sample_draws(kind, keep_prob, block, chw, dtype):
     spec = DropoutSpec(kind, keep_prob, frozenset({"conv1"}), STAGE_META_TRAINING, block_size=block)
-    resamples = []
+    empties = []
     for seed in range(12):
         for bsz in (1, 5, 32):
             rng, ref_rng = Rng(seed), Rng(seed)
             got = make_dropout_mask(spec, (bsz, *chw), rng, dtype).values
-            want = np.stack([reference_mask(spec, chw, ref_rng, dtype, resamples) for _ in range(bsz)])
+            want = np.stack([reference_mask(spec, chw, ref_rng, dtype, empties) for _ in range(bsz)])
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (seed, bsz)
             assert rng.next_u64() == ref_rng.next_u64(), (seed, bsz)
             one = make_dropout_mask(spec, chw, Rng(seed), dtype).values
             assert one.tobytes() == reference_mask(spec, chw, Rng(seed), dtype).tobytes()
     if keep_prob == 0.2:
-        assert 0 in resamples and 1 in resamples  # resampled, and kept whole after two empty draws
+        # empty draws happen, and got == want kept each such sample whole, all ones
+        assert empties and all(np.all(v == 1) for v in empties)
+
+
+def _sample_kinds(spec, chw, seed, n):
+    """Per draw of Rng(seed), one sample each: "empty" drops every unit, "some" drops some, "none" none."""
+    rng, kinds = Rng(seed), []
+    for _ in range(n):
+        empties = []
+        values = reference_mask(spec, chw, rng, np.float32, empties)
+        kinds.append("empty" if empties else "some" if np.any(values == 0) else "none")
+    return kinds
+
+
+@pytest.mark.parametrize("pos", [0, 2, 4], ids=["first", "middle", "last"])
+def test_a_batch_draw_moves_the_stream_by_its_seed_sites(pos):
+    # four seed sites on a 4x4 map, each dropping a 3x3 block: all four drop every unit
+    spec = DropoutSpec("dropblock", 0.05, frozenset({"conv1"}), STAGE_META_TRAINING, block_size=3)
+    (c, h, w), bsz = (1, 4, 4), 5
+    want = ["empty" if i == pos else "some" for i in range(bsz)]
+    seed = next(s for s in range(10_000) if _sample_kinds(spec, (c, h, w), s, bsz) == want)
+    rng = Rng(seed)
+    values = make_dropout_mask(spec, (bsz, c, h, w), rng, np.float32).values
+    assert np.all(values[pos] == 1)
+    assert all(np.any(values[i] == 0) for i in range(bsz) if i != pos)
+    skipped = Rng(seed)
+    skipped.u64_array(bsz * c * (h - 2) * (w - 2))
+    assert rng.next_u64() == skipped.next_u64()
 
 
 def test_rng_advance_moves_by_draws():

@@ -76,13 +76,6 @@ def test_normal_moments():
     assert abs((z ** 3).mean()) < 0.05
 
 
-def test_gauss_matches_normal_array_distribution():
-    r = Rng(23)
-    xs = np.array([r.gauss() for _ in range(5000)])
-    assert abs(xs.mean()) < 0.05
-    assert abs(xs.std() - 1.0) < 0.05
-
-
 def test_randint_uniform_over_non_power_of_two():
     # 5 does not divide 2**64, so naive modulo would bias low residues
     r = Rng(31)
