@@ -96,19 +96,17 @@ def _embed(net: Network, images: np.ndarray, cut: int, chunk: int) -> np.ndarray
     is bitwise the one that episode's own forward would give, wherever the
     position probe (`_position_free`) passes.
     """
-    n = len(images)
-    padded = np.zeros((-(-n // chunk) * chunk, *images.shape[1:]), dtype=images.dtype)
-    padded[:n] = images
     group = chunk * max(1, _CONV_STACK_FLOATS // (chunk * int(np.prod(images.shape[1:]))))
     grouped = net.clone()
     params = [(t, t.data) for layer in grouped.layers[: (cut + 1) // 2] for t in layer.params().values()]
     parts = []
-    for first in range(0, len(padded), group):
-        batch = padded[first : first + group]
+    for first in range(0, len(images), group):
+        batch = images[first : first + group]
+        batch = np.concatenate([batch, np.zeros((-len(batch) % chunk, *batch.shape[1:]), batch.dtype)])
         for t, data in params:
             t.data = np.broadcast_to(data, (len(batch) // chunk, *data.shape))
         parts.append(forward(grouped, batch, MODE_EVAL, STAGE_META_TESTING, stop=cut).data)
-    return np.concatenate(parts)[:n]
+    return np.concatenate(parts)[: len(images)]
 
 
 def _position_free(net: Network, first: np.ndarray, cut: int) -> bool:
@@ -124,15 +122,19 @@ def _position_free(net: Network, first: np.ndarray, cut: int) -> bool:
     return _embed(net, first[orders], cut, len(first)).tobytes() == rows[orders].tobytes()
 
 
-def _cache(net: Network, images: np.ndarray, cut: int, chunk: int) -> tuple[np.ndarray, int]:
-    """`_embed`'s rows of `images` and `cut`, or the images and point 0 at cut 0 or where the position probe fails.
+def _cache(net: Network, images: np.ndarray, read: np.ndarray, cut: int, chunk: int) -> tuple[np.ndarray, int]:
+    """The view with `_embed`'s rows at `cut` in its rows `read` (sorted; others zero), or the images and point 0.
 
-    A cache whose rows sit elsewhere in their chunk than in an episode's own
-    forward gives that episode its bits only where the probe passes.
+    The images come at cut 0 or where the position probe fails on the first
+    chunk read: a cache whose rows sit elsewhere in their chunk than in an
+    episode's own forward gives that episode its bits only where it passes.
     """
-    if cut and _position_free(net, images[:chunk], cut):
-        return _embed(net, images, cut, chunk), cut
-    return images, 0
+    if not cut or not _position_free(net, images[read[:chunk]], cut):
+        return images, 0
+    rows = _embed(net, images[read], cut, chunk)
+    feats = np.zeros((len(images), *rows.shape[1:]), dtype=rows.dtype)
+    feats[read] = rows
+    return feats, cut
 
 
 def _episode_rng(seed: int, index: int) -> Rng:
@@ -165,33 +167,25 @@ def _stack_size(state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig)
     return max(1, min(_STACK, _CONV_STACK_FLOATS // floats))
 
 
-def _accuracies(indices, state: KnowledgeState, view: Dataset, espec: EpisodeSpec, mcfg: MetaTestConfig,
-                seed: int, query_cache: tuple[np.ndarray, int], support_cache: tuple[np.ndarray, int]) -> list[float]:
-    """The accuracies of episodes `indices` from one meta_test call and one query forward.
+def _accuracies(indices, episodes, state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig, seed: int,
+                query_cache: tuple[np.ndarray, int], support_cache: tuple[np.ndarray, int]) -> list[float]:
+    """The accuracies of episodes `indices`, each (support rows, labels, query rows, labels) of the view in `episodes`.
 
     Each cache is (rows of the view at a point, that point); at point 0 the
-    rows are the images.  Where the query cache stops short of
-    `meta_test_prefix`, the stack's query sets run up to it as `_embed`
-    chunks of one query set each, as each episode's own forward would.
+    rows are the images.  One meta_test call adapts the stack and one
+    forward classifies it; where the query cache stops short of
+    `meta_test_prefix`, the query sets run up to it as `_embed` chunks of
+    one query set each, as each episode's own forward would.
     """
     (feats, cut), (support_feats, support_cut) = query_cache, support_cache
     prefix = meta_test_prefix(state, mcfg)
-    rngs = [_episode_rng(seed, i) for i in indices]
-    queries = []  # (query rows of feats, query labels) per episode
-
-    def supports():
-        # one episode at a time, so that only its support set outlives the sampling
-        for rng in rngs:
-            episode = sample_episode(view, espec, rng.derive("sample"))
-            queries.append((episode.query_idx, episode.query.y))
-            yield Batch(support_feats[episode.support_idx], episode.support.y)
-
-    adapted = meta_test(state, supports(), mcfg, rngs, start=support_cut)
-    rows = np.concatenate([feats[idx] for idx, _ in queries])
+    supports = (Batch(support_feats[idx], y) for idx, y, _, _ in episodes)
+    adapted = meta_test(state, supports, mcfg, [_episode_rng(seed, i) for i in indices], start=support_cut)
+    rows = np.concatenate([feats[idx] for _, _, idx, _ in episodes])
     if cut < prefix:
         rows = _embed(state.network, rows, prefix, espec.C * espec.Q_query)
     logits = forward(adapted.network, rows, MODE_EVAL, STAGE_META_TESTING, start=prefix).data
-    return [_accuracy(episode_logits, y) for episode_logits, (_, y) in zip(logits, queries)]
+    return [_accuracy(episode_logits, y) for episode_logits, (_, _, _, y) in zip(logits, episodes)]
 
 
 # the arguments every task of a pool worker shares, sent once per worker
@@ -204,8 +198,8 @@ def _pool_init(*args) -> None:
     _POOL_ARGS = args
 
 
-def _pool_accuracies(indices) -> list[float]:
-    return _accuracies(indices, *_POOL_ARGS)
+def _pool_accuracies(stack) -> list[float]:
+    return _accuracies(*stack, *_POOL_ARGS)
 
 
 @ops.one_blas_thread()
@@ -221,18 +215,18 @@ def evaluate_fewshot(
 ) -> EvalReport:
     """Adapt-and-classify over `n_episodes` episodes of the novel view.
 
-    The part of the forward that meta_test leaves unchanged, up to the point
-    `meta_test_prefix`, runs once per call over the whole view, and each
-    episode classifies its query from those features.  With freeze_meta and
+    Every episode is sampled first.  The part of the forward that meta_test
+    leaves unchanged, up to the point `meta_test_prefix`, then runs once per
+    call over the images some episode reads as query, and each episode
+    classifies its query from those features.  With freeze_meta and
     finetune steps, the part that meta_test runs once per support set, up
-    to the point `adaptation_cut`, runs once per call over the whole view
-    too, and meta_test adapts each episode from its support rows (`start`).
-    Each cache is built in chunks of one query or one support set, after a
-    position probe (`_position_free`), so the result is bitwise that of
-    per-episode forwards; where the probe fails, that cache is skipped.
-    When the episodes read fewer query (support) images than the view
-    holds, embedding it would cost more than it saves, and that cache is
-    skipped too.
+    to the point `adaptation_cut`, runs once per call over the images read
+    as support, and meta_test adapts each episode from its support rows
+    (`start`).  Each cache is built in chunks of one query or one support
+    set, after a position probe (`_position_free`), so the result is bitwise
+    that of per-episode forwards; where the probe fails, that cache is
+    skipped.  A cache embeds the probe and min(view, n_episodes * chunk)
+    images at most.
 
     The episodes run in stacks, each adapted by one meta_test call and
     classified by one query forward, with the bytes of per-episode
@@ -247,32 +241,26 @@ def evaluate_fewshot(
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
-    n, query_size, support_size = novel_view.n_samples, espec.C * espec.Q_query, espec.C * espec.K
-    short = n_episodes * query_size < n
-    query_cut = 0 if short else meta_test_prefix(state, mcfg)
-    # without freeze_meta, meta_test adapts conv1 and the adaptation cut is 0
-    support_cut = adaptation_cut(state, mcfg) if mcfg.finetune_steps and n_episodes * support_size >= n else 0
-    images, net = novel_view.images, state.network
-    args = (state, novel_view, espec, mcfg, seed,
-            _cache(net, images, query_cut, query_size), _cache(net, images, support_cut, support_size))
-    size = 1 if short else _stack_size(state, espec, mcfg)
-    stacks = [range(first, min(first + size, n_episodes)) for first in range(0, n_episodes, size)]
+    # each episode's view rows and labels; its Episode, which holds copies of its images, is dropped
+    plan = [(e.support_idx, e.support.y, e.query_idx, e.query.y) for e in (
+        sample_episode(novel_view, espec, _episode_rng(seed, i).derive("sample")) for i in range(n_episodes))]
+    net, images, query_size = state.network, novel_view.images, espec.C * espec.Q_query
+    # without freeze_meta, meta_test adapts conv1 and the adaptation cut is 0; with no steps it reads no support rows
+    support_cut = adaptation_cut(state, mcfg) if mcfg.finetune_steps else 0
+    args = (state, espec, mcfg, seed,
+            _cache(net, images, np.unique([p[2] for p in plan]), meta_test_prefix(state, mcfg), query_size),
+            _cache(net, images, np.unique([p[0] for p in plan]), support_cut, espec.C * espec.K))
+    # a short evaluation (fewer query images than the view holds) runs stacks of one; perfbench counts them
+    size = 1 if n_episodes * query_size < novel_view.n_samples else _stack_size(state, espec, mcfg)
+    stacks = [(range(i, min(i + size, n_episodes)), plan[i : i + size]) for i in range(0, n_episodes, size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=args) as pool:
             parts = list(pool.map(_pool_accuracies, stacks, chunksize=max(1, len(stacks) // (4 * jobs))))
     else:
-        parts = [_accuracies(stack, *args) for stack in stacks]
-    accs = [acc for part in parts for acc in part]
-    acc_array = np.asarray(accs, dtype=np.float64)
-    mean, halfwidth = ci95(acc_array)
-    return EvalReport(
-        n_episodes=n_episodes,
-        mean_acc=mean,
-        ci95=halfwidth,
-        seed=seed,
-        config_hash=config_hash,
-        per_episode_acc=tuple(float(a) for a in acc_array),
-    )
+        parts = [_accuracies(*stack, *args) for stack in stacks]
+    accs = tuple(acc for part in parts for acc in part)
+    mean, halfwidth = ci95(accs)
+    return EvalReport(n_episodes, mean, halfwidth, seed, config_hash, per_episode_acc=accs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,110 @@
+"""SHA-256 digests of results that must keep their bytes, for tests/test_golden.py.
+
+The digests cover `EvalReport.to_json()` of small evaluates (frozen, task
+dropout on conv4, conv4 as task knowledge and unfrozen; 2 and 12 episodes;
+serial and with jobs=2) and the stdout of `fsml oracle-check`.  A result's
+bits depend on the numpy version, the OpenBLAS build and kernel, and the SIMD
+targets numpy dispatches to, so each entry of tests/golden_digests.json is
+keyed by those (`environment()`).
+
+    PYTHONPATH=src python tests/make_golden_digests.py
+
+adds or replaces the entry of the environment it runs in, and with
+OPENBLAS_CORETYPE set (Haswell, Sandybridge, Prescott) that of a forced
+kernel.  A change that keeps every byte leaves the file as it is; one that
+moves bytes on purpose regenerates it and says which digests moved, and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+from dataclasses import replace
+
+from numpy._core import _multiarray_umath
+
+from fsml import ops
+from fsml.cli import main
+from fsml.data import EpisodeSpec, SplitSpec, SyntheticSpec, gen_synthetic, split_classes
+from fsml.evaluate import evaluate_fewshot
+from fsml.meta import KnowledgeState, MetaTestConfig, TrainConfig, meta_train_pretrain
+from fsml.nn import STAGE_META_TESTING, DropoutSpec, build_conv4, partition_params
+from fsml.rng import Rng
+
+MANIFEST = pathlib.Path(__file__).with_name("golden_digests.json")
+
+CONV_TAGS = frozenset({"conv1", "conv2", "conv3", "conv4"})
+_FROZEN = MetaTestConfig(Q=12, finetune_steps=3, finetune_lr=1.0)
+# case -> (meta tags, meta-test config)
+EVALUATE_CASES = {
+    "frozen": (CONV_TAGS, _FROZEN),
+    "task dropout on conv4": (CONV_TAGS, replace(_FROZEN, task_dropout=DropoutSpec(
+        "standard", 0.7, frozenset({"conv4"}), STAGE_META_TESTING))),
+    "conv4 is task knowledge": (CONV_TAGS - {"conv4"}, _FROZEN),
+    "unfrozen": (CONV_TAGS, replace(_FROZEN, freeze_meta=False, finetune_lr=0.1)),
+}
+# 5-way 1-shot with 4 queries over a novel view of 63 images: 2 episodes read
+# fewer query images than the view holds, 12 read more
+ESPEC = EpisodeSpec(C=5, K=1, Q_query=4)
+EPISODE_COUNTS = (2, 12)
+
+
+def environment() -> dict:
+    """What a result's bits depend on besides the code: numpy, its OpenBLAS, and its SIMD targets on this CPU."""
+    features = _multiarray_umath.__cpu_features__
+    return {**ops.blas_build(),
+            "numpy_cpu_dispatch": [f for f in _multiarray_umath.__cpu_dispatch__ if features.get(f)]}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def trained_state():
+    """A Conv-4 pretrained past the uniform-guess loss on 32x32 images, and a novel view of 7 x 9 = 63 images."""
+    ds = gen_synthetic(SyntheticSpec(
+        n_classes=15, samples_per_class=9, image_extent=32, cluster_std=0.1, class_separation=5.0, seed=7))
+    base, _, novel = split_classes(ds, SplitSpec.from_counts(15, 8, 0, 7))
+    net = build_conv4((4, 8, 8, 8), (1, 32, 32), 8, "cosine", Rng(7))
+    state = meta_train_pretrain(base, net, partition_params(net, CONV_TAGS),
+                                TrainConfig(meta_lr=0.2, meta_epochs=30, batch_size=16, seed=7))
+    return state, novel
+
+
+def evaluate_digests() -> dict[str, str]:
+    trained, novel = trained_state()
+    out = {}
+    for case, (tags, mcfg) in EVALUATE_CASES.items():
+        state = KnowledgeState(trained.network, partition_params(trained.network, tags), seed=7)
+        for n in EPISODE_COUNTS:
+            for jobs in (1, 2):
+                report = evaluate_fewshot(state, novel, ESPEC, mcfg, n_episodes=n, seed=3, jobs=jobs)
+                out[f"evaluate[{case}, n={n}, jobs={jobs}]"] = _sha256(report.to_json())
+    return out
+
+
+def oracle_check_digest() -> dict[str, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        main(["oracle-check"])
+    return {"oracle-check": _sha256(stdout.getvalue())}
+
+
+def load() -> list[dict]:
+    return json.loads(MANIFEST.read_text()) if MANIFEST.exists() else []
+
+
+def entry_for(env: dict) -> dict | None:
+    """The digests recorded for `env`, or None."""
+    return next((entry["digests"] for entry in load() if entry["environment"] == env), None)
+
+
+if __name__ == "__main__":
+    env = environment()
+    entries = [entry for entry in load() if entry["environment"] != env]
+    entries.append({"environment": env, "digests": {**evaluate_digests(), **oracle_check_digest()}})
+    MANIFEST.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(entries[-1]['digests'])} digests for {json.dumps(env)} to {MANIFEST}")

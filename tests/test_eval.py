@@ -243,11 +243,16 @@ def test_the_position_probe_fails_a_forward_that_changes_one_position(trained_32
         return out
 
     monkeypatch.setattr(evaluate_module, "forward", forward_that_moves)
+    read = np.arange(1, novel.n_samples, 2)  # the rows some episode reads, sorted
     for chunk in (5, 20):
         assert evaluate_module._position_free(state.network, novel.images[:chunk], 10) == (moved_row is None)
-        feats, cut = evaluate_module._cache(state.network, novel.images, 10, chunk)
+        feats, cut = evaluate_module._cache(state.network, novel.images, read, 10, chunk)
         assert cut == (10 if moved_row is None else 0)
-        assert feats is novel.images or moved_row is None
+        if moved_row is None:  # the rows read, at their view rows; the others zero
+            assert np.array_equal(feats[read], novel.images[read] + 1)
+            assert not feats[::2].any()
+        else:
+            assert feats is novel.images
 
 
 def reference_episodes(state, view, espec, mcfg, n_episodes, seed):
@@ -314,21 +319,22 @@ def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypa
         heads.extend(head_values(adapted.network, e) for e in range(n_stacked))
         return adapted
 
-    def recording_accuracies(indices, *args):  # every stack runs here, in a pool worker when jobs > 1
+    def recording_accuracies(indices, episodes, *args):  # every stack runs here, in a pool worker when jobs > 1
         logits.clear()
         heads.clear()
-        accs = accuracies(indices, *args)
-        (tmp_path / f"stack-{indices[0]:03d}.pkl").write_bytes(pickle.dumps((list(indices), logits, heads)))
+        accs = accuracies(indices, episodes, *args)
+        *_, (_, query_cut), (_, cached_support_cut) = args
+        record = (list(indices), logits, heads, (query_cut, cached_support_cut))
+        (tmp_path / f"stack-{indices[0]:03d}.pkl").write_bytes(pickle.dumps(record))
         return accs
 
     monkeypatch.setattr(evaluate_module, "_accuracy", recording_accuracy)
     monkeypatch.setattr(evaluate_module, "meta_test", recording_meta_test)
     monkeypatch.setattr(evaluate_module, "_accuracies", recording_accuracies)
     # query sets of 20, 15, 6 and 15 images; at 6, rows from larger batches differ.
-    # Support sets of 5, 6, 2 and 10 images: 12 episodes read the view's 63
-    # images at 6 and 10 (a padded last chunk of 3) and cache it.  One or
-    # two episodes read fewer images than the view holds, so they skip both
-    # caches
+    # Support sets of 5, 6, 2 and 10 images.  Each cache holds the images
+    # that some episode reads, from 1 to 12 episodes, with a padded last
+    # chunk wherever their count is no multiple of the set size
     for espec in (EpisodeSpec(C=5, K=1, Q_query=4), EpisodeSpec(C=3, K=2, Q_query=5),
                   EpisodeSpec(C=2, K=1, Q_query=3), EpisodeSpec(C=5, K=2, Q_query=3)):
         for n in (12, 2, 1):
@@ -340,11 +346,14 @@ def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypa
             if jobs > 1 and multiprocessing.get_start_method() != "fork":
                 continue  # the workers do not inherit the recording functions
             stacks = [pickle.loads(path.read_bytes()) for path in sorted(tmp_path.glob("stack-*.pkl"))]
-            assert [i for indices, _, _ in stacks for i in indices] == list(range(n))
-            got_logits = [rows for _, stack_logits, _ in stacks for rows in stack_logits]
+            assert [i for indices, *_ in stacks for i in indices] == list(range(n))
+            # each cache holds its cut, or falls back to point 0 where the position probe fails
+            query_cut, cached_support_cut = stacks[0][3]
+            assert query_cut in (cut, 0) and cached_support_cut in (support_cut, 0)
+            got_logits = [rows for _, stack_logits, _, _ in stacks for rows in stack_logits]
             assert len(got_logits) == n
             assert all(np.array_equal(a, b) for a, b in zip(got_logits, ref_logits))
-            got_heads = [head for _, _, stack_heads in stacks for head in stack_heads]
+            got_heads = [head for _, _, stack_heads, _ in stacks for head in stack_heads]
             assert len(got_heads) == n
             for got, want in zip(got_heads, ref_heads):
                 assert got.keys() == want.keys()
@@ -354,7 +363,7 @@ def test_cached_evaluate_equals_full_query_forwards(trained_32px, case, monkeypa
 def test_a_failed_position_probe_gives_the_same_report_uncached(trained_32px, monkeypatch):
     state, novel = trained_32px
     espec = EpisodeSpec(C=5, K=1, Q_query=4)
-    n = 13  # 65 support images, against 63 in the view: both caches run
+    n = 13
     mcfg = replace(_FROZEN, task_dropout=_task_drop("conv4"))
     cached = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
     calls = count_convs(monkeypatch)
@@ -384,7 +393,7 @@ META_TEST_CALL_CASES = {
     "unfrozen": (replace(_FROZEN, freeze_meta=False, finetune_lr=0.1), 12, 100, 2),
     # conv4 reads 5 maps of 8x4x4 a step, so 51 episodes fit; _STACK caps them at 5
     "conv3 task dropout": (replace(_FROZEN, task_dropout=_task_drop("conv3")), 7, 5, 2),
-    "short, uncached": (_FROZEN, 2, 5, 2),
+    "short": (_FROZEN, 2, 5, 2),
 }
 
 
@@ -393,7 +402,7 @@ def test_evaluate_makes_one_meta_test_call_per_stack(trained_32px, monkeypatch, 
     mcfg, n, stack, want = META_TEST_CALL_CASES[case]
     state, novel = trained_32px
     espec = EpisodeSpec(C=5, K=1, Q_query=4)  # 20 query images an episode, against 63 in the view
-    assert (case == "short, uncached") == (n * espec.C * espec.Q_query < novel.n_samples)
+    assert (case == "short") == (n * espec.C * espec.Q_query < novel.n_samples)
     stacks = []
 
     def counting_meta_test(state, supports, mcfg, rngs, **kwargs):
@@ -426,61 +435,117 @@ def passing_probe(monkeypatch) -> None:
     monkeypatch.setattr(evaluate_module, "_position_free", lambda *args: probe(*args) or True)
 
 
-# the convs of the query cache of 5-way episodes with 4 queries, over 63 images:
-# the probe's plain forward and its two 20-image chunks, each a group of one,
-# then the view in 4 chunks of 20
-QUERY_CACHE_CONVS = 4 * (1 + 2) + 4 * math.ceil(63 / 20)
+def read_rows(view, espec, n, seed):
+    """The sorted view rows that n episodes of an evaluate read as support, and as query."""
+    episodes = [sample_episode(view, espec, Rng(seed).derive(f"eval-episode-{i}").derive("sample")) for i in range(n)]
+    return tuple(np.unique([getattr(e, name) for e in episodes]) for name in ("support_idx", "query_idx"))
+
+
+def cache_convs(n_read, chunk):
+    """The convs of a cache of `n_read` 32x32 images up to point 10 or 7, in chunks of `chunk`.
+
+    The probe's plain forward and its two chunks, then the chunks of what is
+    read (the last padded); `_embed` runs as many chunks in one forward as
+    hold 2^15 floats, four convs a forward.
+    """
+    per_group = max(1, evaluate_module._CONV_STACK_FLOATS // (chunk * 32 * 32))
+    return 4 * (1 + math.ceil(2 / per_group) + math.ceil(math.ceil(n_read / chunk) / per_group))
+
+
+_ESPEC = EpisodeSpec(C=5, K=1, Q_query=4)  # support sets of 5 and query sets of 20 images
 
 
 def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
     passing_probe(monkeypatch)
     calls = count_convs(monkeypatch)
     state, novel = trained_32px
-    espec = EpisodeSpec(C=5, K=1, Q_query=4)
     n = 7
-    evaluate_fewshot(state, novel, espec, _FROZEN, n_episodes=n, seed=1)
-    # the query cache, plus the support prefix of each episode: 35 support
-    # images are fewer than the 63 of the view, so they are not cached.
-    # Without the cache each query forward adds 4 more per episode
-    assert len(calls) == QUERY_CACHE_CONVS + 4 * n
+    support, query = read_rows(novel, _ESPEC, n, seed=1)
+    evaluate_fewshot(state, novel, _ESPEC, _FROZEN, n_episodes=n, seed=1)
+    # each image read is embedded once per cache, and no episode runs a conv;
+    # without the caches each episode adds 4 for its support and 4 for its query
+    assert len(support) <= n * 5 < novel.n_samples
+    assert len(calls) == cache_convs(len(query), 20) + cache_convs(len(support), 5)
 
 
 def test_frozen_evaluate_embeds_the_support_sets_once(trained_32px, monkeypatch):
     passing_probe(monkeypatch)
     calls = count_convs(monkeypatch)
     state, novel = trained_32px
-    espec = EpisodeSpec(C=5, K=1, Q_query=4)
     n = 13
+    support, query = read_rows(novel, _ESPEC, n, seed=1)
     for mcfg in (_FROZEN, replace(_FROZEN, task_dropout=_task_drop("conv4"))):
         calls.clear()
-        evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
-        # a chunk of 5 images holds 5,120 floats, so a group holds 6 chunks:
-        # the probe's plain forward and one group of its two chunks, then the
-        # view in 13 chunks (the last padded) and 3 groups; no episode runs a conv
-        assert len(calls) == QUERY_CACHE_CONVS + 4 * (1 + 1) + 4 * 3
+        evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1)
+        # up to point 10 or up to conv4's mask (point 7), four convs a
+        # forward; a chunk of 5 images holds 5,120 floats, so a group holds 6
+        assert len(calls) == cache_convs(len(query), 20) + cache_convs(len(support), 5)
 
 
 def test_task_dropout_on_conv4_costs_four_convs_per_episode(trained_32px, monkeypatch):
-    passing_probe(monkeypatch)
-    calls = count_convs(monkeypatch)
     state, novel = trained_32px
-    espec = EpisodeSpec(C=5, K=1, Q_query=4)
     n = 7
+    support, query = read_rows(novel, _ESPEC, n, seed=1)
     mcfg = replace(_FROZEN, finetune_steps=5, task_dropout=_task_drop("conv4"))
-    evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
-    # the support forward runs conv4 up to its mask once, not on each of the 5 steps
-    assert len(calls) == QUERY_CACHE_CONVS + 4 * n
+    probe = evaluate_module._position_free
+    for support_cached in (True, False):
+        # the query probe passes; the support probe passes, or fails and leaves the support uncached
+        monkeypatch.setattr(evaluate_module, "_position_free",
+                            lambda net, first, cut: (len(first) != 5 or support_cached) and (probe(net, first, cut) or True))
+        calls = count_convs(monkeypatch)
+        evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1)
+        # an uncached support forward runs conv4 up to its mask once, not on each of the 5 steps
+        support_convs = cache_convs(len(support), 5) if support_cached else 4 * n
+        assert len(calls) == cache_convs(len(query), 20) + support_convs
 
 
-def test_small_frozen_evaluate_skips_the_cache(trained_32px, monkeypatch):
-    calls = count_convs(monkeypatch)
+def test_a_short_frozen_evaluate_embeds_only_the_images_it_reads(trained_32px, monkeypatch):
+    passing_probe(monkeypatch)
     state, novel = trained_32px
-    espec = EpisodeSpec(C=5, K=1, Q_query=4)
     n = 2
-    assert n * espec.C * espec.Q_query < novel.n_samples
-    evaluate_fewshot(state, novel, espec, _FROZEN, n_episodes=n, seed=1)
-    # no embedding of the view and no probe: per episode, the support prefix and the query forward
-    assert len(calls) == 8 * n
+    assert n * _ESPEC.C * _ESPEC.Q_query < novel.n_samples
+    support, query = read_rows(novel, _ESPEC, n, seed=1)
+    embedded = []  # the images of each _embed call
+    embed = evaluate_module._embed
+
+    def recording_embed(net, images, cut, chunk):
+        embedded.append(images)
+        return embed(net, images, cut, chunk)
+
+    monkeypatch.setattr(evaluate_module, "_embed", recording_embed)
+    calls = count_convs(monkeypatch)
+    evaluate_fewshot(state, novel, _ESPEC, _FROZEN, n_episodes=n, seed=1)
+    # the query cache, then the support cache, each a probe of two chunks and then the images read
+    assert [len(images) for images in embedded] == [2 * 20, len(query), 2 * 5, len(support)]
+    assert np.array_equal(embedded[1], novel.images[query]) and len(query) <= n * 20 < novel.n_samples
+    assert np.array_equal(embedded[3], novel.images[support])
+    assert len(calls) == cache_convs(len(query), 20) + cache_convs(len(support), 5)
+
+
+@pytest.mark.parametrize("failing", ["query", "support"])
+def test_a_probe_that_fails_for_one_cache_skips_only_that_cache(trained_32px, monkeypatch, failing):
+    state, novel = trained_32px
+    n = 13
+    mcfg = replace(_FROZEN, task_dropout=_task_drop("conv4"))  # a query cache at point 10, a support cache at 7
+    want = evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1).to_json()
+    failing_chunk = {"query": 20, "support": 5}[failing]
+    probe, cache = evaluate_module._position_free, evaluate_module._cache
+    passed, cuts = {}, {}  # by chunk size: what the real probe gave, and the cache's point
+
+    def one_sided_probe(net, first, cut):
+        passed[len(first)] = len(first) != failing_chunk and probe(net, first, cut)
+        return passed[len(first)]
+
+    def recording_cache(net, images, read, cut, chunk):
+        feats, cuts[chunk] = cache(net, images, read, cut, chunk)
+        return feats, cuts[chunk]
+
+    monkeypatch.setattr(evaluate_module, "_position_free", one_sided_probe)
+    monkeypatch.setattr(evaluate_module, "_cache", recording_cache)
+    assert evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1).to_json() == want
+    assert cuts[failing_chunk] == 0
+    other = 25 - failing_chunk
+    assert cuts[other] == ({20: 10, 5: 7}[other] if passed[other] else 0)
 
 
 # ---------------------------------------------------------------------------

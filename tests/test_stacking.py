@@ -174,7 +174,8 @@ def test_stacking_premise_holds_on_other_openblas_kernels(core):
 
 
 # the tests of the view caches and of the training fast paths, each bitwise
-# against a plain path, rerun whole in a child under another kernel
+# against a plain path, and the evaluate digests recorded for each kernel,
+# rerun whole in a child under another kernel
 _KERNEL_TESTS = [
     *(f"test_eval.py::{name}" for name in (
         "test_chunked_embedding_rows_equal_any_forward_of_that_many_images",
@@ -186,9 +187,11 @@ _KERNEL_TESTS = [
         "test_frozen_evaluate_embeds_each_image_once",
         "test_frozen_evaluate_embeds_the_support_sets_once",
         "test_task_dropout_on_conv4_costs_four_convs_per_episode",
-        "test_small_frozen_evaluate_skips_the_cache",
+        "test_a_short_frozen_evaluate_embeds_only_the_images_it_reads",
+        "test_a_probe_that_fails_for_one_cache_skips_only_that_cache",
     )),
     "test_fast_paths.py",
+    "test_golden.py::test_evaluate_reports_keep_their_digests",
 ]
 
 
