@@ -1,8 +1,11 @@
 """SHA-256 digests of results that must keep their bytes, for tests/test_golden.py.
 
-The digests cover `EvalReport.to_json()` of small evaluates (frozen, task
-dropout on conv4, conv4 as task knowledge and unfrozen; 2 and 12 episodes;
-serial and with jobs=2) and the stdout of `fsml oracle-check`.  A result's
+The digests cover `EvalReport.to_json()` of small evaluates (frozen; standard,
+spatial and dropblock task dropout on conv4; conv4 as task knowledge;
+unfrozen; 2 and 12 episodes; serial and with jobs=2), the checkpoint bytes
+and per-epoch losses of short trainings (pretrains with no, standard,
+spatial and dropblock meta-dropout, and an episodic training with inner
+steps), and the stdout of `fsml oracle-check`.  A result's
 bits depend on the numpy version, the OpenBLAS build and kernel, and the SIMD
 targets numpy dispatches to, so each entry of tests/golden_digests.json is
 keyed by those (`environment()`).
@@ -27,22 +30,30 @@ from dataclasses import replace
 from numpy._core import _multiarray_umath
 
 from fsml import ops
+from fsml.checkpoint import dump_params
 from fsml.cli import main
 from fsml.data import EpisodeSpec, SplitSpec, SyntheticSpec, gen_synthetic, split_classes
 from fsml.evaluate import evaluate_fewshot
-from fsml.meta import KnowledgeState, MetaTestConfig, TrainConfig, meta_train_pretrain
-from fsml.nn import STAGE_META_TESTING, DropoutSpec, build_conv4, partition_params
+from fsml.meta import KnowledgeState, MetaTestConfig, TrainConfig, meta_train, meta_train_pretrain
+from fsml.nn import STAGE_META_TESTING, STAGE_META_TRAINING, DropoutSpec, build_conv4, partition_params
 from fsml.rng import Rng
 
 MANIFEST = pathlib.Path(__file__).with_name("golden_digests.json")
 
 CONV_TAGS = frozenset({"conv1", "conv2", "conv3", "conv4"})
 _FROZEN = MetaTestConfig(Q=12, finetune_steps=3, finetune_lr=1.0)
+
+
+def _on_conv4(kind: str, block: int = 1) -> MetaTestConfig:
+    return replace(_FROZEN, task_dropout=DropoutSpec(kind, 0.7, frozenset({"conv4"}), STAGE_META_TESTING, block))
+
+
 # case -> (meta tags, meta-test config)
 EVALUATE_CASES = {
     "frozen": (CONV_TAGS, _FROZEN),
-    "task dropout on conv4": (CONV_TAGS, replace(_FROZEN, task_dropout=DropoutSpec(
-        "standard", 0.7, frozenset({"conv4"}), STAGE_META_TESTING))),
+    "task dropout on conv4": (CONV_TAGS, _on_conv4("standard")),
+    "spatial task dropout on conv4": (CONV_TAGS, _on_conv4("spatial")),
+    "dropblock task dropout on conv4": (CONV_TAGS, _on_conv4("dropblock", 3)),
     "conv4 is task knowledge": (CONV_TAGS - {"conv4"}, _FROZEN),
     "unfrozen": (CONV_TAGS, replace(_FROZEN, freeze_meta=False, finetune_lr=0.1)),
 }
@@ -63,11 +74,36 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def trained_state():
-    """A Conv-4 pretrained past the uniform-guess loss on 32x32 images, and a novel view of 7 x 9 = 63 images."""
+def _meta_dropout(kind: str, keep_prob: float, block: int = 1) -> DropoutSpec:
+    return DropoutSpec(kind, keep_prob, frozenset({"conv3", "conv4"}), STAGE_META_TRAINING, block)
+
+
+# case -> (regime, head classes, training config); the pretrains run 3 epochs
+# of the base view at batch 16, the episodic training 2 meta-epochs of 4
+# 5-way 1-shot episodes with 2 inner steps each
+TRAINING_CASES = {
+    "pretrain, no meta-dropout": ("pretrain_finetune", 8, TrainConfig(
+        meta_lr=0.2, meta_epochs=3, batch_size=16, seed=7)),
+    **{f"pretrain, {spec.kind} meta-dropout": ("pretrain_finetune", 8, TrainConfig(
+        meta_lr=0.2, meta_epochs=3, batch_size=16, meta_dropout=spec, seed=7)) for spec in (
+        _meta_dropout("standard", 0.8), _meta_dropout("spatial", 0.8), _meta_dropout("dropblock", 0.9, 3))},
+    "episodic, inner steps": ("episodic", ESPEC.C, TrainConfig(
+        M=4, inner_steps=2, inner_lr=0.5, meta_lr=0.05, meta_epochs=2, meta_dropout=_meta_dropout("standard", 0.8),
+        seed=7)),
+}
+
+
+def views():
+    """(base, novel) views of 15 synthetic classes of 9 32x32 images: 8 x 9 = 72 base and 7 x 9 = 63 novel images."""
     ds = gen_synthetic(SyntheticSpec(
         n_classes=15, samples_per_class=9, image_extent=32, cluster_std=0.1, class_separation=5.0, seed=7))
     base, _, novel = split_classes(ds, SplitSpec.from_counts(15, 8, 0, 7))
+    return base, novel
+
+
+def trained_state():
+    """A Conv-4 pretrained past the uniform-guess loss on 32x32 images, and a novel view of 7 x 9 = 63 images."""
+    base, novel = views()
     net = build_conv4((4, 8, 8, 8), (1, 32, 32), 8, "cosine", Rng(7))
     state = meta_train_pretrain(base, net, partition_params(net, CONV_TAGS),
                                 TrainConfig(meta_lr=0.2, meta_epochs=30, batch_size=16, seed=7))
@@ -83,6 +119,19 @@ def evaluate_digests() -> dict[str, str]:
             for jobs in (1, 2):
                 report = evaluate_fewshot(state, novel, ESPEC, mcfg, n_episodes=n, seed=3, jobs=jobs)
                 out[f"evaluate[{case}, n={n}, jobs={jobs}]"] = _sha256(report.to_json())
+    return out
+
+
+def training_digests() -> dict[str, str]:
+    """Each training's checkpoint bytes and its per-epoch meta and task losses."""
+    base, _ = views()
+    out = {}
+    for case, (regime, n_classes, cfg) in TRAINING_CASES.items():
+        net = build_conv4((4, 8, 8, 8), (1, 32, 32), n_classes, "cosine", Rng(7))
+        state = meta_train(regime, base, ESPEC, net, partition_params(net, CONV_TAGS), cfg)
+        losses = [(entry["meta_loss"], entry["task_loss"]) for entry in state.log]
+        out[f"training[{case}]: checkpoint"] = hashlib.sha256(dump_params(state.network.values())).hexdigest()
+        out[f"training[{case}]: losses"] = _sha256(json.dumps([[m.hex(), t.hex()] for m, t in losses]))
     return out
 
 
@@ -105,6 +154,7 @@ def entry_for(env: dict) -> dict | None:
 if __name__ == "__main__":
     env = environment()
     entries = [entry for entry in load() if entry["environment"] != env]
-    entries.append({"environment": env, "digests": {**evaluate_digests(), **oracle_check_digest()}})
+    digests = {**evaluate_digests(), **training_digests(), **oracle_check_digest()}
+    entries.append({"environment": env, "digests": digests})
     MANIFEST.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(entries[-1]['digests'])} digests for {json.dumps(env)} to {MANIFEST}")

@@ -174,7 +174,7 @@ def test_stacking_premise_holds_on_other_openblas_kernels(core):
 
 
 # the tests of the view caches and of the training fast paths, each bitwise
-# against a plain path, and the evaluate digests recorded for each kernel,
+# against a plain path, and the evaluate and training digests recorded for each kernel,
 # rerun whole in a child under another kernel
 _KERNEL_TESTS = [
     *(f"test_eval.py::{name}" for name in (
@@ -192,6 +192,7 @@ _KERNEL_TESTS = [
     )),
     "test_fast_paths.py",
     "test_golden.py::test_evaluate_reports_keep_their_digests",
+    "test_golden.py::test_trainings_keep_their_digests",
 ]
 
 
