@@ -12,6 +12,7 @@ disjoint support and query sets.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, FormatError, SamplingError
-from .rng import Rng
+from .rng import Rng, u64_rows
 
 FSDS_MAGIC = b"FSDS"
 FSDS_VERSION = 1
@@ -200,9 +201,13 @@ class Episode:
     query_idx: np.ndarray
 
 
-def sample_episode(view: Dataset, spec: EpisodeSpec, rng: Rng) -> Episode:
+def _check_classes(view: Dataset, spec: EpisodeSpec) -> None:
     if spec.C > view.n_classes:
         raise SamplingError(f"episode needs {spec.C} classes, view {view.name!r} has {view.n_classes}")
+
+
+def sample_episode(view: Dataset, spec: EpisodeSpec, rng: Rng) -> Episode:
+    _check_classes(view, spec)
     classes = rng.choice(view.n_classes, spec.C)
     need = spec.K + spec.Q_query
     sup_idx, qry_idx = [], []
@@ -226,6 +231,73 @@ def sample_episode(view: Dataset, spec: EpisodeSpec, rng: Rng) -> Episode:
         support_idx=sup_idx,
         query_idx=qry_idx,
     )
+
+
+_U64_MAX = np.uint64((1 << 64) - 1)
+
+
+def _value_at(p: np.ndarray, to: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The value at position p of pools that held 0, 1, 2, ... before the writes of `val` to positions `to`.
+
+    The writes run in order along the last axis, whose column 0 is no write
+    (position -1).
+    """
+    last = ((to == p[..., None]) * np.arange(to.shape[-1])).max(axis=-1, keepdims=True)
+    return np.where(last[..., 0] > 0, np.take_along_axis(val, last, axis=-1)[..., 0], p)
+
+
+def _choice_rows(u: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rng.choice(n, k) over rows: u [..., k] holds each row's k u64 draws, n [...] its pool size.
+
+    Returns the picks [..., k], and whether a row holds a draw that
+    Rng.randint would reject or a pool smaller than k.  The partial
+    Fisher-Yates shuffle tracks only the positions it writes, so its cost
+    does not grow with the pools.
+    """
+    k = u.shape[-1]
+    picks = np.empty(u.shape, dtype=np.int64)
+    to = np.full((*n.shape, k + 1), -1, dtype=np.int64)
+    val = np.zeros((*n.shape, k + 1), dtype=np.int64)
+    bad = n < k
+    for i in range(k):
+        m = np.maximum(n - i, 1).astype(np.uint64)
+        bad |= u[..., i] > _U64_MAX - (_U64_MAX % m + 1) % m  # randint's limit is 2^64 - (2^64 mod m)
+        j = i + (u[..., i] % m).astype(np.int64)
+        picks[..., i] = _value_at(j, to[..., : i + 1], val[..., : i + 1])
+        val[..., i + 1] = _value_at(np.full(n.shape, i), to[..., : i + 1], val[..., : i + 1])
+        to[..., i + 1] = j
+    return picks, bad
+
+
+def sample_plan(view: Dataset, spec: EpisodeSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The view rows of E episodes at once: support [E, C*K] and query [E, C*Q_query].
+
+    Row e holds the support_idx and query_idx of
+    sample_episode(view, spec, rngs[e]).  The C + C*(K+Q_query) draws of
+    every episode are one counter array (`u64_rows`), and Rng.choice's
+    partial Fisher-Yates shuffles run over the rows, first over the classes
+    and then over each chosen class's pool, with a pool size per row.  An
+    episode holding a draw that Rng.randint would reject (p about n/2^64 a
+    draw) or a class too small for it is sampled by sample_episode on its own
+    stream.  Each rng moves by the C + C*(K+Q_query) draws of an episode
+    without rejection.
+    """
+    _check_classes(view, spec)
+    c, need = spec.C, spec.K + spec.Q_query
+    starts = [copy.copy(r) for r in rngs]
+    u = u64_rows(rngs, c + c * need)
+    classes, bad = _choice_rows(u[:, :c], np.full(len(u), view.n_classes))
+    sizes = np.array([len(view.class_indices(k)) for k in range(view.n_classes)])
+    pos, bad_pool = _choice_rows(u[:, c:].reshape(len(u), c, need), sizes[classes])
+    bad |= bad_pool.any(axis=1)
+    pos[bad] = 0
+    order = np.concatenate([view.class_indices(k) for k in range(view.n_classes)])
+    picks = order[(np.cumsum(sizes) - sizes)[classes][..., None] + pos]
+    support, query = picks[:, :, : spec.K].reshape(len(u), -1), picks[:, :, spec.K :].reshape(len(u), -1)
+    for e in np.flatnonzero(bad):
+        episode = sample_episode(view, spec, starts[e])
+        support[e], query[e] = episode.support_idx, episode.query_idx
+    return support, query
 
 
 class EpisodeDistribution:

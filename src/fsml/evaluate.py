@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ops
-from .data import Batch, Dataset, EpisodeSpec, sample_episode
+from .data import Batch, Dataset, EpisodeSpec, sample_plan
 from .errors import ContractError
 from .meta import (
     KnowledgeState,
@@ -35,7 +35,7 @@ from .meta import (
     step_start,
 )
 from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
-from .rng import Rng
+from .rng import Rng, derive_rows
 
 log = logging.getLogger("fsml")
 
@@ -167,9 +167,9 @@ def _stack_size(state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig)
     return max(1, min(_STACK, _CONV_STACK_FLOATS // floats))
 
 
-def _accuracies(indices, episodes, state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig, seed: int,
+def _accuracies(indices, episodes, state: KnowledgeState, espec: EpisodeSpec, mcfg: MetaTestConfig,
                 query_cache: tuple[np.ndarray, int], support_cache: tuple[np.ndarray, int]) -> list[float]:
-    """The accuracies of episodes `indices`, each (support rows, labels, query rows, labels) of the view in `episodes`.
+    """The accuracies of episodes `indices`, given as (their rngs, support rows, query rows) of the view in `episodes`.
 
     Each cache is (rows of the view at a point, that point); at point 0 the
     rows are the images.  One meta_test call adapts the stack and one
@@ -178,14 +178,17 @@ def _accuracies(indices, episodes, state: KnowledgeState, espec: EpisodeSpec, mc
     one query set each, as each episode's own forward would.
     """
     (feats, cut), (support_feats, support_cut) = query_cache, support_cache
+    rngs, support_idx, query_idx = episodes
     prefix = meta_test_prefix(state, mcfg)
-    supports = (Batch(support_feats[idx], y) for idx, y, _, _ in episodes)
-    adapted = meta_test(state, supports, mcfg, [_episode_rng(seed, i) for i in indices], start=support_cut)
-    rows = np.concatenate([feats[idx] for _, _, idx, _ in episodes])
+    support_y = np.repeat(np.arange(espec.C, dtype=np.int64), espec.K)
+    query_y = np.repeat(np.arange(espec.C, dtype=np.int64), espec.Q_query)
+    adapted = meta_test(state, (Batch(support_feats[idx], support_y) for idx in support_idx), mcfg, rngs,
+                        start=support_cut)
+    rows = feats[query_idx.ravel()]
     if cut < prefix:
         rows = _embed(state.network, rows, prefix, espec.C * espec.Q_query)
     logits = forward(adapted.network, rows, MODE_EVAL, STAGE_META_TESTING, start=prefix).data
-    return [_accuracy(episode_logits, y) for episode_logits, (_, _, _, y) in zip(logits, episodes)]
+    return [_accuracy(episode_logits, query_y) for episode_logits in logits]
 
 
 # the arguments every task of a pool worker shares, sent once per worker
@@ -215,7 +218,7 @@ def evaluate_fewshot(
 ) -> EvalReport:
     """Adapt-and-classify over `n_episodes` episodes of the novel view.
 
-    Every episode is sampled first.  The part of the forward that meta_test
+    Every episode is sampled first, all at once (`sample_plan`).  The part of the forward that meta_test
     leaves unchanged, up to the point `meta_test_prefix`, then runs once per
     call over the images some episode reads as query, and each episode
     classifies its query from those features.  With freeze_meta and
@@ -241,18 +244,18 @@ def evaluate_fewshot(
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
-    # each episode's view rows and labels; its Episode, which holds copies of its images, is dropped
-    plan = [(e.support_idx, e.support.y, e.query_idx, e.query.y) for e in (
-        sample_episode(novel_view, espec, _episode_rng(seed, i).derive("sample")) for i in range(n_episodes))]
+    rngs = [_episode_rng(seed, i) for i in range(n_episodes)]
+    support_idx, query_idx = sample_plan(novel_view, espec, derive_rows(rngs, "sample"))
     net, images, query_size = state.network, novel_view.images, espec.C * espec.Q_query
     # without freeze_meta, meta_test adapts conv1 and the adaptation cut is 0; with no steps it reads no support rows
     support_cut = adaptation_cut(state, mcfg) if mcfg.finetune_steps else 0
-    args = (state, espec, mcfg, seed,
-            _cache(net, images, np.unique([p[2] for p in plan]), meta_test_prefix(state, mcfg), query_size),
-            _cache(net, images, np.unique([p[0] for p in plan]), support_cut, espec.C * espec.K))
+    args = (state, espec, mcfg,
+            _cache(net, images, np.unique(query_idx), meta_test_prefix(state, mcfg), query_size),
+            _cache(net, images, np.unique(support_idx), support_cut, espec.C * espec.K))
     # a short evaluation (fewer query images than the view holds) runs stacks of one; perfbench counts them
     size = 1 if n_episodes * query_size < novel_view.n_samples else _stack_size(state, espec, mcfg)
-    stacks = [(range(i, min(i + size, n_episodes)), plan[i : i + size]) for i in range(0, n_episodes, size)]
+    stacks = [(range(i, min(i + size, n_episodes)), (rngs[i : i + size], support_idx[i : i + size],
+                                                      query_idx[i : i + size])) for i in range(0, n_episodes, size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=args) as pool:
             parts = list(pool.map(_pool_accuracies, stacks, chunksize=max(1, len(stacks) // (4 * jobs))))

@@ -43,7 +43,7 @@ from .nn import (
     forward,
     validate_specs,
 )
-from .rng import Rng
+from .rng import Rng, derive_rows
 from .tensor import Tape, Tensor, backward
 
 LOSS_KINDS = ("cross_entropy", "squared_error")
@@ -477,8 +477,10 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng, start: i
     (from `step_start` on) holds E slices of them: copies of the trained ones where
     they adapt, a read-only broadcast where they do not.  Slice e of every
     parameter is bitwise that of meta_test(state, support[e], cfg, rng[e]):
-    each episode draws its head init and its masks from its own streams, its
-    support forward up to the adaptation cut runs on its own, and every GEMM
+    each episode draws its head init and its masks from its own streams (the
+    stack draws its heads once, and each mask once per step, as one array
+    over the episodes' streams), its support forward up to the adaptation
+    cut runs on its own, and every GEMM
     after the cut is one slice of a batched matmul with that episode's own
     shape.  The layers before the cut keep their one set of parameters.  The
     episodes must share one class count and one support size.  The support
@@ -496,7 +498,7 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng, start: i
     specs = _test_specs(adapted, cfg)
     validate_specs(net, specs)
     cut = _cut(net, ids, STAGE_META_TESTING, specs)
-    mask_rngs = [r.derive("adapt-masks") for r in rngs]
+    mask_rngs = derive_rows(rngs, "adapt-masks")
     ways, xs, ys = set(), [], []
     for episode_support, mask_rng in zip(supports, mask_rngs):
         ways.add(_n_way(episode_support))
@@ -511,7 +513,7 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng, start: i
     def form(items, stack=list):  # one episode's item as it is, or E of them stacked
         return items[0] if one else stack(items)
 
-    net.reshape_head(ways.pop(), form([r.derive("head-init") for r in rngs]))
+    net.reshape_head(ways.pop(), form(derive_rows(rngs, "head-init")))
     if not one:
         e = len(rngs)
         for layer in net.layers[_step_start(net, cut) : -1]:

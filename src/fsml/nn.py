@@ -22,7 +22,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigurationError, ContractError, DimensionError
 from .ops import _mT, _trace
-from .rng import Rng
+from .rng import Rng, normal_rows, uniform_rows
 from .tensor import Tape, Tensor
 
 MODE_TRAIN = "train"
@@ -148,30 +148,31 @@ def _seed_rate(keep_prob: float, block_size: int, h: int, w: int) -> float:
     return ((1.0 - keep_prob) / (block_size * block_size)) * (h * w / valid)
 
 
-def _dropblock_values(keep_prob: float, block: int, shape, rng: Rng, dtype: np.dtype) -> np.ndarray:
-    """Dropblock values for a [B, C, H, W] map, equal to B draws of one sample each.
+def _dropblock_values(keep_prob: float, block: int, shape, rngs, dtype: np.dtype) -> np.ndarray:
+    """Dropblock values [E, B, C, H, W] for a [B, C, H, W] map from each of E rngs, equal to B draws of one sample each.
 
-    A seed at (ci, cj) drops [ci, ci+block) x [cj, cj+block), which fits by
-    construction, so the dropped units are the seed map dilated by
-    block x block shifted ORs.  Survivors are rescaled per sample, and a
-    sample whose draw drops every unit is kept whole.
+    The E*B samples are then drawn as one batch.  A seed at (ci, cj) drops
+    [ci, ci+block) x [cj, cj+block), which fits by construction, so the
+    dropped units are the seed map dilated by block x block shifted ORs.
+    Survivors are rescaled per sample, and a sample whose draw drops every
+    unit is kept whole.
     """
     b, c, h, w = shape
     if block > min(h, w):
         raise ConfigurationError(f"block_size {block} exceeds feature extent {min(h, w)}")
     vh, vw = h - block + 1, w - block + 1
-    seeds = rng.uniform_array((b, c, vh, vw)) < _seed_rate(keep_prob, block, h, w)
-    dropped = np.zeros(shape, dtype=bool)
+    seeds = uniform_rows(rngs, (b, c, vh, vw)).reshape(-1, c, vh, vw) < _seed_rate(keep_prob, block, h, w)
+    dropped = np.zeros((len(seeds), c, h, w), dtype=bool)
     for i in range(block):
         for j in range(block):
             dropped[:, :, i : i + vh, j : j + vw] |= seeds
     kept = c * h * w - np.count_nonzero(dropped, axis=(1, 2, 3))
     values = ~dropped * (c * h * w / np.maximum(kept, 1)).astype(dtype)[:, None, None, None]
     values[kept == 0] = 1
-    return values
+    return values.reshape(len(rngs), *shape)
 
 
-def make_dropout_mask(spec: DropoutSpec, shape: tuple[int, ...], rng: Rng, dtype=np.float32) -> Mask:
+def make_dropout_mask(spec: DropoutSpec, shape: tuple[int, ...], rng, dtype=np.float32) -> Mask:
     """Draw one mask for an activation of `shape`.
 
     standard accepts any shape and draws every unit independently.  spatial
@@ -181,23 +182,30 @@ def make_dropout_mask(spec: DropoutSpec, shape: tuple[int, ...], rng: Rng, dtype
     site, and is kept whole if its draw drops every unit.  keep_prob == 1
     short-circuits to all-ones without touching the rng, so a disabled spec
     can never perturb later draws.
+
+    Given a list of E rngs instead of one, the stack draws once: the mask is
+    [E, *shape], and row e, with the state rngs[e] is left in, is what
+    rngs[e] alone would give.
     """
     shape = tuple(int(d) for d in shape)
     dt = np.dtype(dtype)
+    rngs = (rng,) if rng is None or isinstance(rng, Rng) else rng
+    rows = (len(rngs), *shape)
     if spec.keep_prob == 1.0:
-        return Mask(np.ones(shape, dtype=dt))
-    if spec.kind == "standard":
-        u = rng.uniform_array(shape)
-        return Mask((u < spec.keep_prob).astype(dt) * dt.type(1.0 / spec.keep_prob))
-    if len(shape) not in (3, 4):
+        values = np.ones(rows, dtype=dt)
+    elif spec.kind == "standard":
+        u = uniform_rows(rngs, shape)
+        values = (u < spec.keep_prob).astype(dt) * dt.type(1.0 / spec.keep_prob)
+    elif len(shape) not in (3, 4):
         raise ConfigurationError(f"{spec.kind} dropout needs a [C,H,W] or [B,C,H,W] activation, got shape {shape}")
-    if spec.kind == "spatial":
-        keep = rng.uniform_array(shape[:-2]) < spec.keep_prob
-        values = np.zeros(shape, dtype=dt)
+    elif spec.kind == "spatial":
+        keep = uniform_rows(rngs, shape[:-2]) < spec.keep_prob
+        values = np.zeros(rows, dtype=dt)
         values[keep] = dt.type(1.0 / spec.keep_prob)
-        return Mask(values)
-    batch = shape if len(shape) == 4 else (1, *shape)
-    return Mask(_dropblock_values(spec.keep_prob, spec.block_size, batch, rng, dt).reshape(shape))
+    else:
+        batch = shape if len(shape) == 4 else (1, *shape)
+        values = _dropblock_values(spec.keep_prob, spec.block_size, batch, rngs, dt).reshape(rows)
+    return Mask(values if rngs is rng else values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +352,29 @@ class CosineHead(_Layer):
         return CosineHead(self.class_vectors.copy(), self.scale, self.tag)
 
 
-def _stack_heads(heads):
-    """Heads of one kind and shape as one head whose parameters carry a leading episode axis."""
-    stacked = heads[0].clone()
-    for pid, t in stacked.params().items():
-        t.data = np.stack([head.params()[pid].data for head in heads])
-    return stacked
+def _draw(rows, rng, shape) -> np.ndarray:
+    """`rows` (uniform_rows or normal_rows) of `shape` from one Rng, or [E, *shape] from a list of E rngs."""
+    return rows((rng,), shape)[0] if isinstance(rng, Rng) else rows(rng, shape)
 
 
-def _kaiming_uniform(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:
+def _kaiming_uniform(rng, shape, fan_in: int, dtype) -> np.ndarray:
     limit = math.sqrt(6.0 / fan_in)
-    return ((rng.uniform_array(shape) * 2.0 - 1.0) * limit).astype(dtype)
+    return ((_draw(uniform_rows, rng, shape) * 2.0 - 1.0) * limit).astype(dtype)
 
 
-def _unit_rows(rng: Rng, shape, dtype) -> np.ndarray:
-    v = rng.normal_array(shape)
-    return (v / (np.sqrt((v * v).sum(axis=1, keepdims=True)) + _COSINE_EPS)).astype(dtype)
+def _unit_rows(rng, shape, dtype) -> np.ndarray:
+    v = _draw(normal_rows, rng, shape)
+    return (v / (np.sqrt((v * v).sum(axis=-1, keepdims=True)) + _COSINE_EPS)).astype(dtype)
 
 
-def init_linear_head(n_classes: int, in_dim: int, rng: Rng, dtype=np.float32) -> Linear:
-    w = Tensor(_kaiming_uniform(rng, (in_dim, n_classes), in_dim, dtype))
-    return Linear("head", w, Tensor(np.zeros(n_classes, dtype=dtype)))
+def init_linear_head(n_classes: int, in_dim: int, rng, dtype=np.float32) -> Linear:
+    """A Linear head with Kaiming-uniform weights and zero bias; from a list of E rngs, E heads in one draw."""
+    w = _kaiming_uniform(rng, (in_dim, n_classes), in_dim, dtype)
+    return Linear("head", Tensor(w), Tensor(np.zeros((*w.shape[:-2], n_classes), dtype=dtype)))
 
 
-def init_cosine_head(n_classes: int, in_dim: int, rng: Rng, scale: float, dtype=np.float32) -> CosineHead:
+def init_cosine_head(n_classes: int, in_dim: int, rng, scale: float, dtype=np.float32) -> CosineHead:
+    """A CosineHead with random unit class vectors; from a list of E rngs, E heads in one draw."""
     return CosineHead(Tensor(_unit_rows(rng, (n_classes, in_dim), dtype)), scale)
 
 
@@ -443,19 +450,17 @@ class Network:
         """Swap in a freshly initialized head with `n_classes` outputs.
 
         Given a list of rngs instead of one, the new head holds one such
-        initialization per rng, stacked on a leading episode axis.
+        initialization per rng, stacked on a leading episode axis and drawn
+        as one array over the stack, slice e bitwise that of rng e alone.
         """
         old = self.head
         dtype = next(iter(old.params().values())).dtype
         if isinstance(old, CosineHead):
-            def fresh(r):
-                return init_cosine_head(n_classes, self.head_in_dim, r, old.scale, dtype)
+            self.layers[-1] = init_cosine_head(n_classes, self.head_in_dim, rng, old.scale, dtype)
         elif isinstance(old, Linear):
-            def fresh(r):
-                return init_linear_head(n_classes, self.head_in_dim, r, dtype)
+            self.layers[-1] = init_linear_head(n_classes, self.head_in_dim, rng, dtype)
         else:
             raise ConfigurationError(f"cannot reshape head of type {type(old).__name__}")
-        self.layers[-1] = fresh(rng) if isinstance(rng, Rng) else _stack_heads([fresh(r) for r in rng])
         self._mask_shapes["head"] = (n_classes,)
 
 
@@ -547,7 +552,8 @@ def forward(
 
     For a network whose head holds E heads, the batch is E episodes' rows in
     order and `rng` may be a list of E rngs: each episode's masks are then
-    drawn from its own rng, as its own forward would draw them.
+    drawn from its own rng, as its own forward would draw them, and each
+    (spec, layer) draws the whole stack's masks at once.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ContractError(f"unknown mode {mode!r}")
@@ -573,7 +579,7 @@ def forward(
             return make_dropout_mask(spec, t.shape, rng, t.dtype)
         # the head's output carries the episode axis; every other activation holds the episodes' rows
         shape = t.shape[1:] if tag == net.head.tag else (t.shape[0] // len(rng), *t.shape[1:])
-        return Mask(np.stack([make_dropout_mask(spec, shape, r, t.dtype).values for r in rng]).reshape(t.shape))
+        return Mask(make_dropout_mask(spec, shape, rng, t.dtype).values.reshape(t.shape))
 
     def inject(tag: str, t: Tensor) -> Tensor:
         for spec in active:

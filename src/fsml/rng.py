@@ -3,6 +3,9 @@
 A splitmix-style 64-bit counter generator: output i of a stream seeded with s
 is mix(s + (i+1)*GAMMA), so scalar draws and vectorized draws consume the same
 sequence and every value is reproducible from (seed, consumption count) alone.
+A stack of E streams draws once: `u64_rows`, `uniform_rows` and `normal_rows`
+give an [E, ...] array whose row e is bitwise what stream e alone would draw,
+and a single Rng's array draws are the one-row case of the same code.
 
 Streams for unrelated purposes are derived as seed XOR fnv1a64(label).  Adding
 a new consumer with its own label never perturbs the draws seen by existing
@@ -42,6 +45,49 @@ def _mix(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def u64_rows(rngs, n: int) -> np.ndarray:
+    """[E, n] u64s from E streams: row e is the next n draws of rngs[e], which moves past them.
+
+    Draw j of a stream is mix(state + j*GAMMA), so all E*n draws are one
+    vectorized counter array; one Rng's draws are the one-row case.
+    """
+    states = np.array([r._state for r in rngs], dtype=np.uint64)
+    step = n * _GAMMA
+    for r in rngs:
+        r._state = (r._state + step) & _MASK
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = states[:, None] + idx * np.uint64(_GAMMA)
+    return _mix(z)
+
+
+def uniform_rows(rngs, shape) -> np.ndarray:
+    """[E, *shape] floats in [0, 1) with 53 random bits; row e is rngs[e].uniform_array(shape)."""
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    u = (u64_rows(rngs, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return u.reshape(len(rngs), *shape)
+
+
+def normal_rows(rngs, shape) -> np.ndarray:
+    """[E, *shape] standard normals, Box-Muller on consecutive uniform pairs; row e is rngs[e].normal_array(shape)."""
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    m = (n + 1) // 2
+    u = uniform_rows(rngs, (2 * m,))
+    u1 = np.maximum(u[:, 0::2], 2.0**-53)  # keep log() finite
+    u2 = u[:, 1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty((len(rngs), 2 * m), dtype=np.float64)
+    z[:, 0::2] = r * np.cos(2.0 * math.pi * u2)
+    z[:, 1::2] = r * np.sin(2.0 * math.pi * u2)
+    return z[:, :n].reshape(len(rngs), *shape)
+
+
+def derive_rows(rngs, label: str) -> list["Rng"]:
+    """rngs[e].derive(label) for every e, with the label hashed once."""
+    h = fnv1a64(label)
+    return [Rng(r.seed ^ h) for r in rngs]
+
+
 class Rng:
     """One deterministic stream.  Not thread-safe; derive per-purpose streams."""
 
@@ -62,38 +108,19 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
-    def advance(self, n: int) -> None:
-        """Move the stream by n draws, as if n were drawn; a negative n rewinds."""
-        self._state = (self._state + n * _GAMMA) & _MASK
-
     def u64_array(self, n: int) -> np.ndarray:
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            states = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        self.advance(n)
-        return _mix(states)
+        return u64_rows((self,), n)[0]
 
     def uniform(self) -> float:
         """One float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniform_array(self, shape) -> np.ndarray:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return u.reshape(shape)
+        return uniform_rows((self,), shape)[0]
 
     def normal_array(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller on consecutive uniform pairs."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        m = (n + 1) // 2
-        u = self.uniform_array((2 * m,))
-        u1 = np.maximum(u[0::2], 2.0**-53)  # keep log() finite
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty(2 * m, dtype=np.float64)
-        z[0::2] = r * np.cos(2.0 * math.pi * u2)
-        z[1::2] = r * np.sin(2.0 * math.pi * u2)
-        return z[:n].reshape(shape)
+        return normal_rows((self,), shape)[0]
 
     def randint(self, n: int) -> int:
         """Uniform int in [0, n) without modulo bias (rejection sampling)."""

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import make_golden_digests
 from fsml import evaluate as evaluate_module
 from fsml import ops
 from fsml.data import EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode, split_classes, SplitSpec
@@ -199,14 +200,10 @@ def test_evaluate_rejects_bad_episode_count():
 
 @pytest.fixture(scope="module")
 def trained_32px():
-    """A briefly pretrained Conv-4 on 32x32 images, and a novel view of 7 x 9 = 63 images."""
-    ds = gen_synthetic(SyntheticSpec(
-        n_classes=15, samples_per_class=9, image_extent=32,
-        cluster_std=0.1, class_separation=5.0, seed=7))
-    base, _, novel = split_classes(ds, SplitSpec.from_counts(15, 8, 0, 7))
-    net = build_conv4((4, 8, 8, 8), (1, 32, 32), 8, "cosine", Rng(7))
-    state = meta_train_pretrain(base, net, partition_params(net, CONV_TAGS),
-                                TrainConfig(meta_lr=0.2, meta_epochs=4, batch_size=16, seed=7))
+    """A Conv-4 pretrained on 32x32 images until it learns, and a novel view of 7 x 9 = 63 images."""
+    state, novel = make_golden_digests.trained_state()
+    # a network still at the uniform-guess loss would leave every accuracy read here at chance
+    assert state.log[-1]["meta_loss"] < math.log(state.network.n_classes)
     return state, novel
 
 

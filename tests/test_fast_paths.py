@@ -115,16 +115,6 @@ def test_a_batch_draw_moves_the_stream_by_its_seed_sites(pos):
     assert rng.next_u64() == skipped.next_u64()
 
 
-def test_rng_advance_moves_by_draws():
-    rng = Rng(4)
-    rng.advance(10)
-    skipped = Rng(4)
-    skipped.u64_array(10)
-    assert rng.next_u64() == skipped.next_u64()
-    rng.advance(-11)
-    assert rng.next_u64() == Rng(4).next_u64()
-
-
 def test_train_forward_with_batched_masks_equals_per_sample_masks():
     net = build_conv4((4, 8, 8, 8), (1, 32, 32), 10, "cosine", Rng(3))
     specs = (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fsml.rng import Rng, fnv1a64
+from fsml.rng import Rng, fnv1a64, normal_rows, u64_rows, uniform_rows
 
 
 def test_same_seed_same_sequence():
@@ -155,6 +155,12 @@ def test_seed_masks_to_64_bits():
 
 # seeds whose state wraps past 2^64 within the first few draws, and ordinary ones
 _WRAP_SEEDS = [(1 << 64) - 1, (1 << 64) - 0x9E3779B97F4A7C15, (-3 * 0x9E3779B97F4A7C15) & ((1 << 64) - 1), 0, 12345]
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def shifted(seed: int, shift: int) -> Rng:
+    """The stream of `seed` moved on by `shift` draws (back, for a negative shift)."""
+    return Rng(seed + shift * _GAMMA)
 
 
 def _randint_from(draws, n):
@@ -170,9 +176,7 @@ def _randint_from(draws, n):
 @pytest.mark.parametrize("shift", [0, 5, -7])
 def test_scalar_draws_match_array_draws_across_wrap_around_and_advance(seed, shift):
     # the scalar draws of one stream, in order, against one u64_array of the same stream
-    a, b = Rng(seed), Rng(seed)
-    a.advance(shift)
-    b.advance(shift)
+    a, b = shifted(seed, shift), shifted(seed, shift)
     whole = [int(v) for v in b.u64_array(256)]
     draws = list(whole)
     assert [a.next_u64() for _ in range(16)] == draws[:16]
@@ -191,8 +195,23 @@ def test_scalar_draws_match_array_draws_across_wrap_around_and_advance(seed, shi
         want[i], want[j] = want[j], want[i]
     a.shuffle(items)
     assert items == want
-    used = len(whole) - len(draws)
-    a.advance(-3)
-    assert a.next_u64() == whole[used - 3]
-    a.advance(10)
-    assert a.next_u64() == whole[used + 8]
+    assert a.next_u64() == whole[len(whole) - len(draws)]
+
+
+# the stacked draws: row e of a draw over E streams is what stream e alone draws, and leaves it where that leaves it
+_ROWS = {"u64": (u64_rows, Rng.u64_array), "uniform": (uniform_rows, Rng.uniform_array),
+         "normal": (normal_rows, Rng.normal_array)}
+
+
+@pytest.mark.parametrize("kind", list(_ROWS))
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 4)], ids=str)
+def test_stacked_rows_equal_each_stream_drawn_alone(kind, shape):
+    rows, alone = _ROWS[kind]
+    n = int(np.prod(shape))
+    streams = [shifted(seed, shift) for seed in _WRAP_SEEDS for shift in (0, 3, -2)]
+    singles = [shifted(seed, shift) for seed in _WRAP_SEEDS for shift in (0, 3, -2)]
+    got = rows(streams, n if kind == "u64" else shape)
+    want = [alone(r, n if kind == "u64" else shape) for r in singles]
+    assert got.shape == (len(streams), *((n,) if kind == "u64" else shape))
+    assert all(row.tobytes() == w.tobytes() for row, w in zip(got, want))
+    assert [r.next_u64() for r in streams] == [r.next_u64() for r in singles]

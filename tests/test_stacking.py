@@ -8,11 +8,17 @@ query features (the images, where nothing is cached), so they test that
 premise alone, not the row invariance of the query cache (see
 tests/test_eval.py).  Every config stacks: head-only adaptation, the whole
 backbone adapting, task dropout in the backbone, and conv4 as task
-knowledge.  A stack of one episode equals the one-episode form too.  The
-tripwires rerun both comparisons, the cache tests of tests/test_eval.py and
-tests/test_fast_paths.py under other OpenBLAS kernels.
+knowledge.  A stack of one episode equals the one-episode form too.
+
+A stack draws its random numbers once: each mask kind, each head kind and
+the episode plan, drawn for E streams as one array, equal E draws of one
+stream each.  The tripwires rerun the comparisons, the cache tests of
+tests/test_eval.py and tests/test_fast_paths.py under other OpenBLAS
+kernels, and the stacked-draw tests with numpy's SIMD dispatch capped below
+AVX-512.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -22,11 +28,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsml import evaluate, ops
-from fsml.data import EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode
-from fsml.errors import ContractError
+from numpy._core import _multiarray_umath
+
+from fsml import data, evaluate, ops
+from fsml.data import Dataset, EpisodeSpec, SyntheticSpec, gen_synthetic, sample_episode, sample_plan
+from fsml.errors import ContractError, SamplingError
 from fsml.meta import KnowledgeState, MetaTestConfig, meta_test, meta_test_prefix, step_start
-from fsml.nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, build_conv4, forward, partition_params
+from fsml.nn import (
+    MODE_EVAL,
+    STAGE_META_TESTING,
+    DropoutSpec,
+    build_conv4,
+    forward,
+    init_cosine_head,
+    init_linear_head,
+    make_dropout_mask,
+    partition_params,
+)
 from fsml.rng import Rng
 
 CONV_TAGS = frozenset({"conv1", "conv2", "conv3", "conv4"})
@@ -173,6 +191,145 @@ def test_stacking_premise_holds_on_other_openblas_kernels(core):
                                "one episode": {case: [] for case in ONE_EPISODE_CASES}}
 
 
+# ---------------------------------------------------------------------------
+# stacked draws: one draw over E streams equals E draws of one stream each
+
+
+def _streams(n=7, label="stack"):
+    return [Rng(seed).derive(label) for seed in range(n)]
+
+
+# case -> (spec, one episode's activation shape)
+MASK_DRAW_CASES = {
+    "standard, conv map": (_task_drop("standard", "conv4"), (5, 8, 4, 4)),
+    "standard, flat": (_task_drop("standard", "flatten"), (5, 33)),
+    "spatial, batch": (_task_drop("spatial", "conv4"), (5, 8, 4, 4)),
+    "spatial, one sample": (_task_drop("spatial", "conv4"), (8, 4, 4)),
+    "dropblock, batch": (_task_drop("dropblock", "conv3", 3), (5, 8, 8, 8)),
+    "dropblock, one sample": (_task_drop("dropblock", "conv3", 3), (8, 5, 5)),
+    "keep_prob 1": (replace(_task_drop("standard", "conv4"), keep_prob=1.0), (5, 8, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(MASK_DRAW_CASES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_stacked_mask_equals_each_episode_drawn_alone(case, dtype):
+    spec, shape = MASK_DRAW_CASES[case]
+    stack, alone = _streams(), _streams()
+    got = make_dropout_mask(spec, shape, stack, dtype).values
+    assert got.shape == (len(stack), *shape) and got.dtype == dtype
+    for row, rng in zip(got, alone):
+        assert row.tobytes() == make_dropout_mask(spec, shape, rng, dtype).values.tobytes()
+    assert [r.next_u64() for r in stack] == [r.next_u64() for r in alone]
+
+
+@pytest.mark.parametrize("head", ["cosine", "linear"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_stacked_head_init_equals_each_episode_drawn_alone(head, dtype):
+    def init(rng):
+        if head == "cosine":
+            return init_cosine_head(5, 33, rng, 10.0, dtype)
+        return init_linear_head(5, 33, rng, dtype)
+
+    stack, alone = _streams(), _streams()
+    got = init(stack).params()
+    for e, rng in enumerate(alone):
+        for pid, t in init(rng).params().items():
+            assert got[pid].shape == (len(stack), *t.shape)
+            assert got[pid].data[e].tobytes() == t.data.tobytes()
+    assert [r.next_u64() for r in stack] == [r.next_u64() for r in alone]
+
+
+def _uneven_view():
+    """9 classes of 4 to 7 images: a 4-way episode with 1 shot and 3 queries may read every image of class 0."""
+    ds = gen_synthetic(SyntheticSpec(n_classes=9, samples_per_class=7, image_extent=16, seed=4))
+    keep = np.ones(ds.n_samples, dtype=bool)
+    keep[[0, 1, 2, 15, 30, 31, 50]] = False
+    view = Dataset(ds.images[keep], ds.labels[keep], ds.n_classes, name="uneven")
+    assert len({len(view.class_indices(c)) for c in range(view.n_classes)}) == 4
+    return view
+
+
+_UNEVEN_SPEC = EpisodeSpec(C=4, K=1, Q_query=3)
+
+
+def plan_mismatches(view, espec, streams) -> list[int]:
+    """The rows where sample_plan and sample_episode on a copy of that row's stream differ."""
+    alone = [copy.copy(r) for r in streams]
+    support, query = sample_plan(view, espec, streams)
+    assert support.shape == (len(streams), espec.C * espec.K) and query.shape == (len(streams), espec.C * espec.Q_query)
+    return [e for e, rng in enumerate(alone) if not (
+        np.array_equal(support[e], (episode := sample_episode(view, espec, rng)).support_idx)
+        and np.array_equal(query[e], episode.query_idx))]
+
+
+def test_the_plan_equals_sample_episode_row_by_row():
+    view = _uneven_view()
+    assert plan_mismatches(view, _UNEVEN_SPEC, _streams(200, "sample")) == []
+    assert plan_mismatches(view, EpisodeSpec(C=9, K=2, Q_query=2), _streams(50, "sample")) == []
+
+
+_M = (1 << 64) - 1
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _unxorshift(z: int, shift: int) -> int:
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix(z: int) -> int:
+    """The state whose splitmix64 finalizer gives z."""
+    z = (_unxorshift(z, 31) * pow(_MIX2, -1, 1 << 64)) & _M
+    z = (_unxorshift(z, 27) * pow(_MIX1, -1, 1 << 64)) & _M
+    return _unxorshift(z, 30)
+
+
+def rejecting_stream(draw: int) -> Rng:
+    """A stream whose draw `draw` (from 0) is 2^64 - 1, which randint(n) rejects for every n but a power of two."""
+    return Rng(_unmix(_M) - (draw + 1) * 0x9E3779B97F4A7C15)
+
+
+@pytest.mark.parametrize("draw", [0, _UNEVEN_SPEC.C], ids=["class draw", "pool draw"])
+def test_an_episode_with_a_rejected_draw_is_sampled_on_its_own(draw, monkeypatch):
+    view = _uneven_view()
+    probe = rejecting_stream(draw)
+    assert [probe.next_u64() for _ in range(draw + 1)][-1] == _M
+    calls = []
+
+    def counting_sample_episode(*args):
+        calls.append(args)
+        return sample_episode(*args)
+
+    monkeypatch.setattr(data, "sample_episode", counting_sample_episode)
+    streams = _streams(5, "sample")
+    streams.insert(2, rejecting_stream(draw))
+    assert plan_mismatches(view, _UNEVEN_SPEC, streams) == []
+    assert len(calls) == 1  # the rejecting row's; the references call sample_episode directly
+
+
+def test_the_plan_raises_as_sample_episode_does():
+    view = _uneven_view()
+    with pytest.raises(SamplingError, match="has 4 samples, episode needs 5"):
+        sample_plan(view, EpisodeSpec(C=9, K=1, Q_query=4), _streams(3))
+    with pytest.raises(SamplingError, match="episode needs 10 classes"):
+        sample_plan(view, EpisodeSpec(C=10, K=1, Q_query=1), _streams(3))
+
+
+# every stacked draw against the one-stream draws
+_STACKED_DRAW_TESTS = [
+    "test_rng.py::test_stacked_rows_equal_each_stream_drawn_alone",
+    *(f"test_stacking.py::{name}" for name in (
+        "test_a_stacked_mask_equals_each_episode_drawn_alone",
+        "test_a_stacked_head_init_equals_each_episode_drawn_alone",
+        "test_the_plan_equals_sample_episode_row_by_row",
+        "test_an_episode_with_a_rejected_draw_is_sampled_on_its_own",
+    )),
+]
+
+
 # the tests of the view caches and of the training fast paths, each bitwise
 # against a plain path, and the evaluate and training digests recorded for each kernel,
 # rerun whole in a child under another kernel
@@ -193,6 +350,7 @@ _KERNEL_TESTS = [
     "test_fast_paths.py",
     "test_golden.py::test_evaluate_reports_keep_their_digests",
     "test_golden.py::test_trainings_keep_their_digests",
+    *_STACKED_DRAW_TESTS,
 ]
 
 
@@ -204,6 +362,25 @@ def test_cache_and_fast_path_tests_pass_on_other_openblas_kernels(core):
     tests_dir = os.path.dirname(__file__)
     env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.path.dirname(os.path.dirname(ops.__file__))}
     child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *_KERNEL_TESTS],
+                           capture_output=True, text=True, env=env, cwd=tests_dir, timeout=600)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
+
+
+# numpy dispatches log, cos and sin, which Box-Muller runs, on CPU features and not on the OpenBLAS kernel
+_BELOW_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_stacked_draws_and_digests_hold_without_avx512_dispatch():
+    # the targets are disabled in the child's environment only; this process keeps its own
+    features = _multiarray_umath.__cpu_features__
+    if not all(t in _multiarray_umath.__cpu_dispatch__ and features.get(t) for t in _BELOW_AVX512):
+        pytest.skip(f"numpy dispatches to none of {_BELOW_AVX512} here")
+    tests_dir = os.path.dirname(__file__)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_BELOW_AVX512),
+           "PYTHONPATH": os.path.dirname(os.path.dirname(ops.__file__))}
+    tests = [*_STACKED_DRAW_TESTS, "test_golden.py::test_evaluate_reports_keep_their_digests",
+             "test_golden.py::test_trainings_keep_their_digests"]
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                            capture_output=True, text=True, env=env, cwd=tests_dir, timeout=600)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
 
