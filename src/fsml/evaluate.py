@@ -218,14 +218,14 @@ def evaluate_fewshot(
 ) -> EvalReport:
     """Adapt-and-classify over `n_episodes` episodes of the novel view.
 
-    Every episode is sampled first, all at once (`sample_plan`).  The part of the forward that meta_test
-    leaves unchanged, up to the point `meta_test_prefix`, then runs once per
-    call over the images some episode reads as query, and each episode
-    classifies its query from those features.  With freeze_meta and
-    finetune steps, the part that meta_test runs once per support set, up
-    to the point `adaptation_cut`, runs once per call over the images read
-    as support, and meta_test adapts each episode from its support rows
-    (`start`).  Each cache is built in chunks of one query or one support
+    Every episode is sampled first, all at once (`sample_plan`).  The part
+    of the forward that meta_test leaves unchanged, up to the point
+    `meta_test_prefix`, then runs once per call over the images some episode
+    reads as query, and each episode classifies its query from those
+    features.  With freeze_meta and finetune steps, the part that meta_test
+    runs once per support set, up to the point `adaptation_cut`, runs once
+    per call over the images read as support, and meta_test adapts each
+    episode from its support rows (`start`).  Each cache is built in chunks of one query or one support
     set, after a position probe (`_position_free`), so the result is bitwise
     that of per-episode forwards; where the probe fails, that cache is
     skipped.  A cache embeds the probe and min(view, n_episodes * chunk)

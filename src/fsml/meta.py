@@ -480,9 +480,8 @@ def meta_test(state: KnowledgeState, support, cfg: MetaTestConfig, rng, start: i
     each episode draws its head init and its masks from its own streams (the
     stack draws its heads once, and each mask once per step, as one array
     over the episodes' streams), its support forward up to the adaptation
-    cut runs on its own, and every GEMM
-    after the cut is one slice of a batched matmul with that episode's own
-    shape.  The layers before the cut keep their one set of parameters.  The
+    cut runs on its own, and every GEMM after the cut is one slice of a
+    batched matmul with that episode's own shape.  The layers before the cut keep their one set of parameters.  The
     episodes must share one class count and one support size.  The support
     sets are read once, in order, and none is kept, so a generator holds one
     episode's images at a time.

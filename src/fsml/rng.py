@@ -55,6 +55,8 @@ def u64_rows(rngs, n: int) -> np.ndarray:
     step = n * _GAMMA
     for r in rngs:
         r._state = (r._state + step) & _MASK
+    # idx stays referenced until _mix returns: freeing it before changed how the
+    # process heap grows, by about 8 MiB of peak RSS over repeated meta-tests
     idx = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = states[:, None] + idx * np.uint64(_GAMMA)

@@ -258,9 +258,12 @@ def plan_mismatches(view, espec, streams) -> list[int]:
     alone = [copy.copy(r) for r in streams]
     support, query = sample_plan(view, espec, streams)
     assert support.shape == (len(streams), espec.C * espec.K) and query.shape == (len(streams), espec.C * espec.Q_query)
-    return [e for e, rng in enumerate(alone) if not (
-        np.array_equal(support[e], (episode := sample_episode(view, espec, rng)).support_idx)
-        and np.array_equal(query[e], episode.query_idx))]
+    mismatches = []
+    for e, rng in enumerate(alone):
+        episode = sample_episode(view, espec, rng)
+        if not (np.array_equal(support[e], episode.support_idx) and np.array_equal(query[e], episode.query_idx)):
+            mismatches.append(e)
+    return mismatches
 
 
 def test_the_plan_equals_sample_episode_row_by_row():
