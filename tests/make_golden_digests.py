@@ -5,7 +5,8 @@ spatial and dropblock task dropout on conv4; conv4 as task knowledge;
 unfrozen; 2 and 12 episodes; serial and with jobs=2), the checkpoint bytes
 and per-epoch losses of short trainings (pretrains with no, standard,
 spatial and dropblock meta-dropout, and an episodic training with inner
-steps), and the stdout of `fsml oracle-check`.  A result's
+steps), the `ablation.csv` of a small `fsml ablate` grid (serial and with
+--jobs 2), and the stdout of `fsml oracle-check`.  A result's
 bits depend on the numpy version, the OpenBLAS build and kernel, and the SIMD
 targets numpy dispatches to, so each entry of tests/golden_digests.json is
 keyed by those (`environment()`).
@@ -24,7 +25,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import tempfile
 from dataclasses import replace
 
 from numpy._core import _multiarray_umath
@@ -135,6 +138,43 @@ def training_digests() -> dict[str, str]:
     return out
 
 
+# 4 arms x 2 seeds of 20-epoch pretrains on 16x16 images, through the config
+# parser and the CLI; `batch_sizes` and `regimes` take the config's own
+ABLATE_CONFIG = {
+    "regime": "pretrain_finetune",
+    "dataset": {"synthetic": {"n_classes": 12, "samples_per_class": 8, "image_extent": 16, "channels": 1,
+                              "cluster_std": 0.1, "class_separation": 4.0, "seed": 5}},
+    "split": {"base": 6, "val": 1, "novel": 5},
+    "network": {"widths": [4, 8, 8, 8], "head": "cosine", "cosine_scale": 10},
+    "partition": {"meta_tags": ["conv1", "conv2", "conv3", "conv4"]},
+    "episode": {"C": 3, "K": 2, "Q_query": 3},
+    "train": {"meta_lr": 0.1, "momentum": 0.5, "meta_epochs": 20, "batch_size": 12,
+              "meta_dropout": {"kind": "dropblock", "keep_prob": 0.9, "placements": ["conv3", "conv4"],
+                               "stage": "meta_training", "block_size": 3}},
+    "meta_test": {"freeze_meta": True, "finetune_steps": 3, "finetune_lr": 1.0,
+                  "task_dropout": {"kind": "spatial", "keep_prob": 0.8, "placements": ["conv4"],
+                                   "stage": "meta_testing"}},
+    "n_eval_episodes": 10,
+    "seeds": [1, 3],
+    "ablation": {"arms": ["none", "M", "D", "M&D"], "kinds": ["dropblock"], "placements": [["conv2", "conv3"]]},
+}
+
+
+def ablate_digests() -> dict[str, str]:
+    """The `ablation.csv` bytes of `fsml ablate` on ABLATE_CONFIG, serial and, given two CPUs, with --jobs 2."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = pathlib.Path(tmp) / "config.json"
+        config.write_text(json.dumps(ABLATE_CONFIG))
+        for jobs in (1, 2) if (os.cpu_count() or 1) >= 2 else (1,):
+            run_dir = pathlib.Path(tmp) / f"jobs{jobs}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main(["ablate", "--config", str(config), "--out", str(run_dir), "--jobs", str(jobs)])
+            assert status == 0, f"fsml ablate --jobs {jobs} exited {status}"
+            out[f"ablate[jobs={jobs}]"] = hashlib.sha256((run_dir / "ablation.csv").read_bytes()).hexdigest()
+    return out
+
+
 def oracle_check_digest() -> dict[str, str]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -154,7 +194,7 @@ def entry_for(env: dict) -> dict | None:
 if __name__ == "__main__":
     env = environment()
     entries = [entry for entry in load() if entry["environment"] != env]
-    digests = {**evaluate_digests(), **training_digests(), **oracle_check_digest()}
+    digests = {**evaluate_digests(), **training_digests(), **ablate_digests(), **oracle_check_digest()}
     entries.append({"environment": env, "digests": digests})
     MANIFEST.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(entries[-1]['digests'])} digests for {json.dumps(env)} to {MANIFEST}")

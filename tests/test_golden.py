@@ -34,6 +34,12 @@ def test_trainings_keep_their_digests():
     assert got == {name: want[name] for name in got}
 
 
+def test_ablate_csv_keeps_its_digest():
+    want = recorded_digests()
+    got = golden.ablate_digests()
+    assert got == {name: want[name] for name in got}
+
+
 def test_oracle_check_stdout_keeps_its_digest():
     want = recorded_digests()
     assert golden.oracle_check_digest() == {"oracle-check": want["oracle-check"]}

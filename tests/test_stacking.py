@@ -334,8 +334,8 @@ _STACKED_DRAW_TESTS = [
 
 
 # the tests of the view caches and of the training fast paths, each bitwise
-# against a plain path, and the evaluate and training digests recorded for each kernel,
-# rerun whole in a child under another kernel
+# against a plain path, and the evaluate, training and ablate digests recorded for
+# each kernel, rerun whole in a child under another kernel
 _KERNEL_TESTS = [
     *(f"test_eval.py::{name}" for name in (
         "test_chunked_embedding_rows_equal_any_forward_of_that_many_images",
@@ -353,6 +353,7 @@ _KERNEL_TESTS = [
     "test_fast_paths.py",
     "test_golden.py::test_evaluate_reports_keep_their_digests",
     "test_golden.py::test_trainings_keep_their_digests",
+    "test_golden.py::test_ablate_csv_keeps_its_digest",
     *_STACKED_DRAW_TESTS,
 ]
 
@@ -381,8 +382,9 @@ def test_stacked_draws_and_digests_hold_without_avx512_dispatch():
     tests_dir = os.path.dirname(__file__)
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_BELOW_AVX512),
            "PYTHONPATH": os.path.dirname(os.path.dirname(ops.__file__))}
-    tests = [*_STACKED_DRAW_TESTS, "test_golden.py::test_evaluate_reports_keep_their_digests",
-             "test_golden.py::test_trainings_keep_their_digests"]
+    tests = [*_STACKED_DRAW_TESTS, *(f"test_golden.py::{name}" for name in (
+        "test_evaluate_reports_keep_their_digests", "test_trainings_keep_their_digests",
+        "test_ablate_csv_keeps_its_digest"))]
     child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                            capture_output=True, text=True, env=env, cwd=tests_dir, timeout=600)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
