@@ -26,16 +26,11 @@ from .checkpoint import apply_checkpoint, dump_params, load_checkpoint
 from .config import ExperimentConfig, load_config
 from .data import gen_synthetic, write_dataset
 from .errors import ConfigurationError, FsmlError
-from .evaluate import (
-    AblationAssets,
-    AblationGrid,
-    evaluate_fewshot,
-    run_ablation,
-    write_ablation_csv,
-)
+from .evaluate import AblationAssets, evaluate_fewshot, run_ablation, write_ablation_csv
 from .meta import KnowledgeState, meta_train
 from .ops import blas_build
 from .oracle import run_all_gates
+from .rng import check_seed
 
 log = logging.getLogger("fsml")
 
@@ -162,10 +157,7 @@ def _build_net(factories: dict, regime: str, seed: int):
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(cfg, args)
-    if cfg.ablation is not None:
-        grid = cfg.ablation
-    else:
-        grid = AblationGrid(batch_sizes=(cfg.train.batch_size,), regimes=(cfg.regime,))
+    grid = cfg.ablation
     if any(a in ("M", "M&D") for a in grid.arms) and cfg.train.meta_dropout is None:
         raise ConfigurationError("ablation includes an 'M' arm but config.train.meta_dropout is not set")
     if any(a in ("D", "M&D") for a in grid.arms) and cfg.meta_test.task_dropout is None:
@@ -217,10 +209,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def _seed_value(text: str) -> int:
-    value = int(text)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {value}")
-    return value
+    try:
+        return check_seed(int(text))
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _jobs_value(text: str) -> int:

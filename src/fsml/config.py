@@ -1,8 +1,10 @@
 """Experiment configuration: JSON schema, strict validation, hashing, builders.
 
-A config file is plain JSON.  Validation is exhaustive: every section checks
-its keys against a closed set and rejects anything it does not know, because a
-silently ignored typo ("finetune_stpes") would corrupt a whole ablation grid.
+A config file is plain JSON.  A section with a dataclass is read straight
+into it: its keys are the dataclass's fields, an omitted key takes the
+dataclass default, and the dataclass checks the values.  An unknown key is
+rejected, because a silently ignored typo ("finetune_stpes") would corrupt a
+whole ablation grid.
 Two fingerprints are derived from a config: `config_hash` covers everything
 that affects results (the output directory is excluded), and `arch_hash`
 covers only what a checkpoint's tensors must agree with.
@@ -12,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .data import (
     Dataset,
@@ -23,20 +27,18 @@ from .data import (
     load_dataset,
     split_classes,
 )
-from .errors import ConfigurationError
-from .evaluate import _ARMS, AblationGrid
+from .errors import ConfigurationError, ContractError
+from .evaluate import AblationGrid
 from .meta import REGIMES, MetaTestConfig, TrainConfig
 from .nn import (
     _HEADS,
-    _KINDS,
-    _STAGES,
     DropoutSpec,
     Network,
     ParamPartition,
     build_conv4,
     partition_params,
 )
-from .rng import Rng
+from .rng import Rng, check_seed
 
 
 def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -50,39 +52,59 @@ def _check_keys(obj: dict, where: str, required: tuple[str, ...], optional: tupl
         raise ConfigurationError(f"{where}: missing required keys {missing}")
 
 
-def _typed(obj: dict, key: str, kinds, where: str, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ConfigurationError(f"{where}.{key} must not be a boolean")
-    if not isinstance(value, kinds):
-        names = kinds.__name__ if not isinstance(kinds, tuple) else "/".join(k.__name__ for k in kinds)
-        raise ConfigurationError(f"{where}.{key} must be {names}, got {type(value).__name__}")
+# fields the config sets itself, never from a key: a training's seed comes
+# from `seeds`, a meta-test's episode count from `n_eval_episodes`
+_NOT_KEYS = {TrainConfig: ("seed",), MetaTestConfig: ("Q",)}
+
+
+def _read(cls, obj, where: str, **defaults):
+    """The dataclass `cls` built from the JSON object `obj` found at `where`.
+
+    The keys are the fields of `cls` less its `_NOT_KEYS`: a field with no
+    default is required, and an omitted one takes its value in `defaults`, or
+    else the dataclass default.  `_value` reads each value by its field's
+    annotation, and an error `cls` raises comes back as a ConfigurationError
+    that names `where`.
+    """
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: f.default is MISSING and f.default_factory is MISSING
+            for f in fields(cls) if f.name not in _NOT_KEYS.get(cls, ())}
+    _check_keys(obj, where, tuple(key for key, required in keys.items() if required), tuple(keys))
+    values = {**defaults, **{key: _value(value, hints[key], f"{where}.{key}") for key, value in obj.items()}}
+    try:
+        return cls(**values)
+    except (ConfigurationError, ContractError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+def _value(value, hint, where: str):
+    """`value` read as the type `hint`.
+
+    An int rejects a bool, a float also takes an int, a tuple or frozenset
+    takes a list, `X | None` takes null, and a dataclass takes an object.
+    """
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        # a falsy dropout spec ({} or false) means none, as it always has
+        if value is None or (inner is DropoutSpec and not value):
+            return None
+        return _value(value, inner, where)
+    if typing.get_origin(hint) in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where} must be a list, got {type(value).__name__}")
+        return typing.get_origin(hint)(_value(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(hint):
+        spec = _read(hint, value, where)
+        # the dataclass's block size of 1 would be a silent choice
+        if hint is DropoutSpec and spec.kind == "dropblock" and "block_size" not in value:
+            raise ConfigurationError(f"{where}: dropblock requires block_size")
+        return spec
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigurationError(f"{where} must be {hint.__name__}, got {type(value).__name__}")
     return value
-
-
-def _int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-        raise ConfigurationError(f"{where} must be a list of integers")
-    return list(value)
-
-
-def parse_dropout_spec(obj: dict, where: str) -> DropoutSpec:
-    _check_keys(obj, where, ("kind", "keep_prob", "placements", "stage"), ("block_size",))
-    kind = _typed(obj, "kind", str, where)
-    keep_prob = float(_typed(obj, "keep_prob", (int, float), where))
-    placements = obj["placements"]
-    if not isinstance(placements, list) or not all(isinstance(p, str) for p in placements):
-        raise ConfigurationError(f"{where}.placements must be a list of layer tags")
-    stage = _typed(obj, "stage", str, where)
-    if stage not in _STAGES:
-        raise ConfigurationError(f"{where}.stage must be one of {list(_STAGES)}, got {stage!r}")
-    block_size = _typed(obj, "block_size", int, where, default=1 if kind != "dropblock" else None)
-    if block_size is None:
-        raise ConfigurationError(f"{where}: dropblock requires block_size")
-    return DropoutSpec(kind=kind, keep_prob=keep_prob, placements=frozenset(placements),
-                       stage=stage, block_size=block_size)
 
 
 @dataclass(frozen=True)
@@ -145,7 +167,7 @@ class ExperimentConfig:
     n_eval_episodes: int
     seeds: tuple[int, ...]
     out: str | None
-    ablation: AblationGrid | None
+    ablation: AblationGrid
     config_hash: str
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -185,7 +207,7 @@ _TOP_KEYS_OPT = ("train", "meta_test", "n_eval_episodes", "seeds", "out", "ablat
 def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(raw, "config", _TOP_KEYS_REQ, _TOP_KEYS_OPT)
 
-    regime = _typed(raw, "regime", str, "config")
+    regime = _value(raw["regime"], str, "config.regime")
     if regime not in REGIMES:
         raise ConfigurationError(f"config.regime must be one of {list(REGIMES)}, got {regime!r}")
 
@@ -193,24 +215,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
     split = _parse_split(raw["split"])
     widths, head_kind, cosine_scale = _parse_network(raw["network"])
     meta_tags = _parse_partition(raw["partition"])
-    episode = _parse_episode(raw["episode"])
+    episode = _read(EpisodeSpec, raw["episode"], "config.episode")
 
-    n_eval = _typed(raw, "n_eval_episodes", int, "config", default=600)
-    train = _parse_train(raw.get("train", {}))
-    meta_test = _parse_meta_test(raw.get("meta_test", {}), n_eval)
+    train = _read(TrainConfig, raw.get("train", {}), "config.train")
+    # a meta-test's Q is the config's n_eval_episodes
+    n_eval = {"Q": _value(raw["n_eval_episodes"], int, "config.n_eval_episodes")} if "n_eval_episodes" in raw else {}
+    meta_test = _read(MetaTestConfig, raw.get("meta_test", {}), "config.meta_test", **n_eval)
 
-    seeds = tuple(_int_list(raw.get("seeds", [0]), "config.seeds"))
+    seeds = _value(raw.get("seeds", [0]), tuple[int, ...], "config.seeds")
     if not seeds:
         raise ConfigurationError("config.seeds must not be empty")
-    out = _typed(raw, "out", str, "config")
+    for i, seed in enumerate(seeds):
+        check_seed(seed, f"config.seeds[{i}]")
+    out = _value(raw["out"], str, "config.out") if "out" in raw else None
 
-    ablation = _parse_ablation(raw["ablation"], regime, train.batch_size) if "ablation" in raw else None
+    # a grid's batch sizes and regimes default to the config's own
+    ablation = _read(AblationGrid, raw.get("ablation", {}), "config.ablation",
+                     batch_sizes=(train.batch_size,), regimes=(regime,))
 
     return ExperimentConfig(
         regime=regime, source=source, split=split,
         widths=widths, head_kind=head_kind, cosine_scale=cosine_scale,
         meta_tags=meta_tags, train=train, meta_test=meta_test, episode=episode,
-        n_eval_episodes=n_eval, seeds=seeds, out=out, ablation=ablation,
+        n_eval_episodes=meta_test.Q, seeds=seeds, out=out, ablation=ablation,
         config_hash=config_hash(raw), raw=raw,
     )
 
@@ -227,27 +254,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _parse_dataset(obj) -> DatasetSource:
-    _check_keys(obj, "config.dataset", (), ("path", "synthetic"))
-    has_path = "path" in obj
-    has_synth = "synthetic" in obj
-    if has_path == has_synth:
+    source = _read(DatasetSource, obj, "config.dataset")
+    # one key, and not null
+    if len(obj) != 1 or source == DatasetSource():
         raise ConfigurationError("config.dataset needs exactly one of 'path' or 'synthetic'")
-    if has_path:
-        return DatasetSource(path=_typed(obj, "path", str, "config.dataset"))
-    s = obj["synthetic"]
-    where = "config.dataset.synthetic"
-    _check_keys(s, where, ("n_classes", "samples_per_class"),
-                ("image_extent", "channels", "cluster_std", "class_separation", "seed"))
-    spec = SyntheticSpec(
-        n_classes=_typed(s, "n_classes", int, where),
-        samples_per_class=_typed(s, "samples_per_class", int, where),
-        image_extent=_typed(s, "image_extent", int, where, default=32),
-        channels=_typed(s, "channels", int, where, default=1),
-        cluster_std=float(_typed(s, "cluster_std", (int, float), where, default=0.15)),
-        class_separation=float(_typed(s, "class_separation", (int, float), where, default=4.0)),
-        seed=_typed(s, "seed", int, where, default=0),
-    )
-    return DatasetSource(synthetic=spec)
+    return source
 
 
 def _parse_split(obj) -> SplitSpec | tuple[int, int, int]:
@@ -256,100 +267,24 @@ def _parse_split(obj) -> SplitSpec | tuple[int, int, int]:
     if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         return (values[0], values[1], values[2])
     if all(isinstance(v, list) for v in values):
-        return SplitSpec(
-            base=frozenset(_int_list(values[0], "config.split.base")),
-            val=frozenset(_int_list(values[1], "config.split.val")),
-            novel=frozenset(_int_list(values[2], "config.split.novel")),
-        )
+        return _read(SplitSpec, obj, "config.split")
     raise ConfigurationError("config.split: base/val/novel must be all counts or all class lists")
 
 
 def _parse_network(obj) -> tuple[tuple[int, int, int, int], str, float]:
     _check_keys(obj, "config.network", ("widths", "head"), ("cosine_scale",))
-    widths = _int_list(obj["widths"], "config.network.widths")
+    widths = _value(obj["widths"], tuple[int, ...], "config.network.widths")
     if len(widths) != 4:
         raise ConfigurationError(f"config.network.widths must list 4 widths, got {len(widths)}")
-    head = _typed(obj, "head", str, "config.network")
+    head = _value(obj["head"], str, "config.network.head")
     if head not in _HEADS:
         raise ConfigurationError(f"config.network.head must be one of {list(_HEADS)}, got {head!r}")
-    scale = float(_typed(obj, "cosine_scale", (int, float), "config.network", default=10.0))
+    scale = _value(obj.get("cosine_scale", 10.0), float, "config.network.cosine_scale")
     if "cosine_scale" in obj and head != "cosine":
         raise ConfigurationError("config.network.cosine_scale only applies to the cosine head")
-    return tuple(widths), head, scale
+    return widths, head, scale
 
 
 def _parse_partition(obj) -> frozenset[str]:
     _check_keys(obj, "config.partition", ("meta_tags",))
-    tags = obj["meta_tags"]
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise ConfigurationError("config.partition.meta_tags must be a list of layer tags")
-    return frozenset(tags)
-
-
-def _parse_episode(obj) -> EpisodeSpec:
-    _check_keys(obj, "config.episode", ("C", "K"), ("Q_query",))
-    return EpisodeSpec(
-        C=_typed(obj, "C", int, "config.episode"),
-        K=_typed(obj, "K", int, "config.episode"),
-        Q_query=_typed(obj, "Q_query", int, "config.episode", default=16),
-    )
-
-
-def _parse_train(obj) -> TrainConfig:
-    where = "config.train"
-    _check_keys(obj, where, (), ("M", "inner_steps", "inner_lr", "meta_lr", "meta_epochs",
-                                 "batch_size", "momentum", "meta_dropout", "loss", "task_l2"))
-    dropout = parse_dropout_spec(obj["meta_dropout"], where + ".meta_dropout") if obj.get("meta_dropout") else None
-    return TrainConfig(
-        M=_typed(obj, "M", int, where, default=1),
-        inner_steps=_typed(obj, "inner_steps", int, where, default=0),
-        inner_lr=float(_typed(obj, "inner_lr", (int, float), where, default=0.01)),
-        meta_lr=float(_typed(obj, "meta_lr", (int, float), where, default=0.01)),
-        meta_epochs=_typed(obj, "meta_epochs", int, where, default=1),
-        batch_size=_typed(obj, "batch_size", int, where, default=32),
-        momentum=float(_typed(obj, "momentum", (int, float), where, default=0.0)),
-        meta_dropout=dropout,
-        loss=_typed(obj, "loss", str, where, default="cross_entropy"),
-        task_l2=float(_typed(obj, "task_l2", (int, float), where, default=0.0)),
-    )
-
-
-def _parse_meta_test(obj, n_eval: int) -> MetaTestConfig:
-    where = "config.meta_test"
-    _check_keys(obj, where, (), ("freeze_meta", "finetune_steps", "finetune_lr", "task_dropout"))
-    dropout = parse_dropout_spec(obj["task_dropout"], where + ".task_dropout") if obj.get("task_dropout") else None
-    return MetaTestConfig(
-        Q=n_eval,
-        freeze_meta=_typed(obj, "freeze_meta", bool, where, default=True),
-        finetune_steps=_typed(obj, "finetune_steps", int, where, default=0),
-        finetune_lr=float(_typed(obj, "finetune_lr", (int, float), where, default=0.01)),
-        task_dropout=dropout,
-    )
-
-
-def _parse_ablation(obj, default_regime: str, default_batch: int) -> AblationGrid:
-    where = "config.ablation"
-    _check_keys(obj, where, (), ("arms", "kinds", "placements", "batch_sizes", "regimes"))
-    arms = obj.get("arms", list(_ARMS))
-    if not isinstance(arms, list) or any(a not in _ARMS for a in arms):
-        raise ConfigurationError(f"{where}.arms must be drawn from {list(_ARMS)}, got {arms!r}")
-    kinds = obj.get("kinds", ["dropblock"])
-    if not isinstance(kinds, list) or any(k not in _KINDS for k in kinds):
-        raise ConfigurationError(f"{where}.kinds must be drawn from {list(_KINDS)}, got {kinds!r}")
-    placements = obj.get("placements", [["conv3", "conv4"]])
-    if not isinstance(placements, list) or not all(
-        isinstance(p, list) and all(isinstance(t, str) for t in p) for p in placements
-    ):
-        raise ConfigurationError(f"{where}.placements must be a list of tag lists")
-    batch_sizes = _int_list(obj.get("batch_sizes", [default_batch]), where + ".batch_sizes")
-    regimes = obj.get("regimes", [default_regime])
-    for r in regimes:
-        if r not in REGIMES:
-            raise ConfigurationError(f"{where}.regimes: unknown regime {r!r}")
-    return AblationGrid(
-        arms=tuple(arms),
-        kinds=tuple(kinds),
-        placements=tuple(frozenset(p) for p in placements),
-        batch_sizes=tuple(batch_sizes),
-        regimes=tuple(regimes),
-    )
+    return _value(obj["meta_tags"], frozenset[str], "config.partition.meta_tags")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, FormatError, SamplingError
-from .rng import Rng, u64_rows
+from .rng import Rng, check_seed, u64_rows
 
 FSDS_MAGIC = b"FSDS"
 FSDS_VERSION = 1
@@ -335,6 +335,7 @@ class SyntheticSpec:
             raise ConfigurationError("image_extent and channels must be positive")
         if self.cluster_std < 0 or self.class_separation < 0:
             raise ConfigurationError("cluster_std and class_separation cannot be negative")
+        check_seed(self.seed)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:

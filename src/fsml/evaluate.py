@@ -17,7 +17,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from . import ops
 from .data import Batch, Dataset, EpisodeSpec, sample_plan
 from .errors import ContractError
 from .meta import (
+    REGIMES,
     KnowledgeState,
     MetaTestConfig,
     TrainConfig,
@@ -34,7 +35,7 @@ from .meta import (
     meta_train,
     step_start,
 )
-from .nn import MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
+from .nn import _KINDS, MODE_EVAL, STAGE_META_TESTING, DropoutSpec, Network, forward
 from .rng import Rng, derive_rows
 
 log = logging.getLogger("fsml")
@@ -308,10 +309,19 @@ class AblationGrid:
     regimes: tuple[str, ...] = ("pretrain_finetune",)
 
     def __post_init__(self):
-        bad = [a for a in self.arms if a not in _ARMS]
-        if bad:
-            raise ContractError(f"unknown ablation arms {bad}; valid: {list(_ARMS)}")
         self.placements = tuple(frozenset(p) for p in self.placements)
+        for axis, valid in (("arms", _ARMS), ("kinds", _KINDS), ("regimes", REGIMES)):
+            bad = [v for v in getattr(self, axis) if v not in valid]
+            if bad:
+                raise ContractError(f"unknown ablation {axis} {bad}; valid: {list(valid)}")
+        # any empty axis makes an empty cross product: a grid of no cells
+        empty = [f.name for f in fields(self) if not getattr(self, f.name)]
+        if empty:
+            raise ContractError(f"ablation axes {empty} are empty, so the grid has no cells")
+        if any(b < 1 for b in self.batch_sizes):
+            raise ContractError(f"ablation batch_sizes must be >= 1, got {list(self.batch_sizes)}")
+        if frozenset() in self.placements:
+            raise ContractError("an ablation placement must name at least one layer tag")
 
     def cells(self) -> list[AblationCell]:
         out = []

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -25,6 +27,13 @@ _FNV_PRIME = 0x100000001B3
 # the multipliers of the splitmix64 finalizer
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+def check_seed(seed: int, where: str = "seed") -> int:
+    """`seed`, if it fits in 64 bits: an Rng keeps only the low 64, so seed 2^64 + 5 would draw seed 5's bytes."""
+    if not 0 <= seed <= _MASK:
+        raise ConfigurationError(f"{where} must fit in 64 bits, got {seed}")
+    return seed
 
 
 def fnv1a64(label: str) -> int:

@@ -8,14 +8,20 @@ import re
 import subprocess
 import sys
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from fsml import cli, ops
 from fsml.checkpoint import dump_params
 from fsml.cli import main
-from fsml.config import config_hash, load_config, parse_config
+from fsml.config import DatasetSource, config_hash, load_config, parse_config
+from fsml.data import EpisodeSpec, SplitSpec, SyntheticSpec
 from fsml.errors import CheckpointError, ConfigurationError
+from fsml.evaluate import AblationGrid
+from fsml.meta import MetaTestConfig, TrainConfig
+from fsml.nn import DropoutSpec
 
 
 def base_config(out=None, **overrides):
@@ -172,6 +178,119 @@ def test_ablation_rejects_unknown_arm():
     raw["ablation"] = {"arms": ["none", "Z"]}
     with pytest.raises(ConfigurationError, match="arms"):
         parse_config(raw)
+
+
+def test_a_config_of_only_required_keys_takes_the_dataclass_defaults():
+    cfg = parse_config({
+        "regime": "pretrain_finetune",
+        "dataset": {"synthetic": {"n_classes": 6, "samples_per_class": 4}},
+        "split": {"base": 4, "val": 0, "novel": 2},
+        "network": {"widths": [2, 2, 2, 2], "head": "linear"},
+        "partition": {"meta_tags": ["conv1", "conv2", "conv3", "conv4"]},
+        "episode": {"C": 2, "K": 1},
+    })
+    assert cfg.train == TrainConfig()
+    assert cfg.meta_test == MetaTestConfig()
+    assert cfg.n_eval_episodes == MetaTestConfig().Q
+    assert cfg.episode == EpisodeSpec(2, 1)
+    assert cfg.source.synthetic == SyntheticSpec(6, 4)
+    # a grid's batch sizes and regimes are the config's own
+    assert cfg.ablation == AblationGrid(batch_sizes=(cfg.train.batch_size,), regimes=(cfg.regime,))
+
+
+# config path -> the dataclass the section is read into, and its fields that are not keys
+_SECTIONS = {
+    "dataset": (DatasetSource, ()),
+    "dataset.synthetic": (SyntheticSpec, ()),
+    "split": (SplitSpec, ()),
+    "episode": (EpisodeSpec, ()),
+    "train": (TrainConfig, ("seed",)),
+    "train.meta_dropout": (DropoutSpec, ()),
+    "meta_test": (MetaTestConfig, ("Q",)),
+    "meta_test.task_dropout": (DropoutSpec, ()),
+    "ablation": (AblationGrid, ()),
+}
+
+
+def _section(raw: dict, path: str) -> dict:
+    for key in path.split("."):
+        raw = raw.setdefault(key, {})
+    return raw
+
+
+@pytest.mark.parametrize("path", list(_SECTIONS))
+def test_each_section_takes_exactly_its_dataclass_fields(path):
+    cls, not_keys = _SECTIONS[path]
+    for name in [f.name for f in fields(cls)] + ["not_a_field"]:
+        raw = base_config()
+        raw["split"] = {"base": [0, 1, 2, 3, 4, 5], "val": [], "novel": [6, 7, 8, 9]}
+        # a value no field takes: a key's own error names it
+        _section(raw, path)[name] = [[[]]]
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(raw)
+        message = str(exc.value)
+        if name in not_keys or name == "not_a_field":
+            assert message == f"config.{path}: unknown keys ['{name}']"
+        else:
+            assert message.startswith(f"config.{path}.{name}"), message
+
+
+# (config path, key, a value its dataclass rejects, the error)
+_VALUE_ERRORS = [
+    ("dataset.synthetic", "n_classes", 1, "config.dataset.synthetic: need n_classes >= 2"),
+    ("split", "val", [0], "config.split: split class sets must be disjoint"),
+    ("episode", "C", 1, "config.episode: episodes need C >= 2 ways, got 1"),
+    ("train", "M", 0, "config.train: M must be >= 1, got 0"),
+    ("train.meta_dropout", "keep_prob", 0, "config.train.meta_dropout: keep_prob must be in (0, 1], got 0.0"),
+    ("meta_test", "finetune_lr", 0, "config.meta_test: finetune_lr must be positive, got 0.0"),
+    # a valid spec at the wrong stage: the meta-test config rejects it
+    ("meta_test.task_dropout", "stage", "meta_training", "config.meta_test: task_dropout must carry stage"),
+    ("ablation", "batch_sizes", [0], "config.ablation: ablation batch_sizes must be >= 1, got [0]"),
+]
+
+
+@pytest.mark.parametrize("path, key, value, error", _VALUE_ERRORS, ids=[f"{p}.{k}" for p, k, *_ in _VALUE_ERRORS])
+def test_a_value_error_names_its_section(path, key, value, error):
+    raw = base_config()
+    raw["split"] = {"base": [0, 1, 2, 3, 4, 5], "val": [], "novel": [6, 7, 8, 9]}
+    _section(raw, path)[key] = value
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(raw)
+    assert str(exc.value).startswith(error), str(exc.value)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_a_seed_outside_64_bits_is_rejected_in_the_config_and_on_the_command_line(tmp_path, capsys, seed):
+    # an Rng keeps the low 64 bits: seed 2^64 + 5 would train seed 5's bytes under another name
+    with pytest.raises(ConfigurationError, match=rf"config.seeds\[1\] must fit in 64 bits, got {seed}"):
+        parse_config(base_config(seeds=[0, seed]))
+    raw = base_config()
+    raw["dataset"]["synthetic"]["seed"] = seed
+    with pytest.raises(ConfigurationError, match=rf"config.dataset.synthetic: seed must fit in 64 bits, got {seed}"):
+        parse_config(raw)
+    with pytest.raises(SystemExit):
+        main(["train", "--config", write_config(tmp_path, base_config(out=tmp_path / "o")), "--seed", str(seed)])
+    assert f"seed must fit in 64 bits, got {seed}" in capsys.readouterr().err
+    assert parse_config(base_config(seeds=[0, 2**64 - 1])).seeds == (0, 2**64 - 1)
+
+
+@pytest.mark.parametrize("ablation, message", [
+    ({"batch_sizes": [0]}, "batch_sizes must be >= 1"),
+    ({"placements": [[]]}, "placement must name at least one layer tag"),
+    ({"arms": []}, r"axes \['arms'\] are empty"),
+    ({"kinds": []}, r"axes \['kinds'\] are empty"),
+    ({"placements": []}, r"axes \['placements'\] are empty"),
+    ({"batch_sizes": []}, r"axes \['batch_sizes'\] are empty"),
+    ({"regimes": []}, r"axes \['regimes'\] are empty"),
+    ({"kinds": ["gaussian"]}, "unknown ablation kinds"),
+    ({"regimes": ["transductive"]}, "unknown ablation regimes"),
+])
+def test_ablate_rejects_a_grid_that_cannot_run(tmp_path, capsys, ablation, message):
+    raw = base_config(out=tmp_path / "o")
+    raw["ablation"] = ablation
+    assert main(["ablate", "--config", write_config(tmp_path, raw)]) == 2
+    assert re.search(f"error: config.ablation: .*{message}", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

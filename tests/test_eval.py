@@ -603,6 +603,30 @@ def test_grid_rejects_unknown_arm():
         AblationGrid(arms=("none", "X"))
 
 
+@pytest.mark.parametrize("axis, values", [("kinds", ("standard", "gaussian")), ("regimes", ("episodic", "transductive"))])
+def test_grid_rejects_an_unknown_kind_or_regime(axis, values):
+    with pytest.raises(ContractError, match=rf"unknown ablation {axis} \['{values[1]}'\]"):
+        AblationGrid(**{axis: values})
+
+
+@pytest.mark.parametrize("axis", ["arms", "kinds", "placements", "batch_sizes", "regimes"])
+def test_grid_rejects_an_empty_axis(axis):
+    # any empty axis would make a grid of no cells: a run that writes only a CSV header
+    with pytest.raises(ContractError, match=rf"ablation axes \['{axis}'\] are empty"):
+        AblationGrid(**{axis: ()})
+
+
+@pytest.mark.parametrize("batch_sizes", [(0,), (8, -1)])
+def test_grid_rejects_a_batch_size_below_one(batch_sizes):
+    with pytest.raises(ContractError, match="batch_sizes must be >= 1"):
+        AblationGrid(batch_sizes=batch_sizes)
+
+
+def test_grid_rejects_an_empty_placement():
+    with pytest.raises(ContractError, match="placement must name at least one layer tag"):
+        AblationGrid(placements=(frozenset({"conv4"}), frozenset()))
+
+
 def test_run_ablation_all_cells_and_csv(tmp_path):
     assets = ablation_fixture()
     grid = AblationGrid(kinds=("standard",), batch_sizes=(8,))
