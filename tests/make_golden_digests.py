@@ -175,6 +175,30 @@ def ablate_digests() -> dict[str, str]:
     return out
 
 
+# the slow tier: the C8 set-up of tests/test_acceptance.py (100 synthetic
+# classes of 20 32x32 images split 64/16/20, widths 4/8/8/8, a cosine head,
+# 12 epochs at lr 0.2) at batch 32, with dropblock meta-dropout (keep 0.9,
+# block 3) on conv3 and conv4; seeds 2105 and 2109 end on the loss plateau
+BENCH_PRETRAIN_SEEDS = (7, 2401, 2105, 2109)
+
+
+def bench_pretrain_digests() -> dict[str, str]:
+    """Each slow-tier pretrain's checkpoint bytes and the `json.dumps` of its per-epoch meta losses."""
+    out = {}
+    for seed in BENCH_PRETRAIN_SEEDS:
+        ds = gen_synthetic(SyntheticSpec(n_classes=100, samples_per_class=20, image_extent=32, cluster_std=0.1,
+                                         class_separation=5.0, seed=seed))
+        base, _, _ = split_classes(ds, SplitSpec.from_counts(100, 64, 16, 20))
+        net = build_conv4((4, 8, 8, 8), (1, 32, 32), base.n_classes, "cosine", Rng(seed).derive("net-init"))
+        cfg = TrainConfig(meta_lr=0.2, meta_epochs=12, batch_size=32, meta_dropout=_meta_dropout("dropblock", 0.9, 3),
+                          seed=seed)
+        state = meta_train_pretrain(base, net, partition_params(net, CONV_TAGS), cfg)
+        checkpoint = dump_params(state.network.values())
+        out[f"bench pretrain[seed={seed}]: checkpoint"] = hashlib.sha256(checkpoint).hexdigest()
+        out[f"bench pretrain[seed={seed}]: losses"] = _sha256(json.dumps([entry["meta_loss"] for entry in state.log]))
+    return out
+
+
 def oracle_check_digest() -> dict[str, str]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -194,7 +218,8 @@ def entry_for(env: dict) -> dict | None:
 if __name__ == "__main__":
     env = environment()
     entries = [entry for entry in load() if entry["environment"] != env]
-    digests = {**evaluate_digests(), **training_digests(), **ablate_digests(), **oracle_check_digest()}
+    digests = {**evaluate_digests(), **training_digests(), **ablate_digests(), **oracle_check_digest(),
+               **bench_pretrain_digests()}
     entries.append({"environment": env, "digests": digests})
     MANIFEST.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(entries[-1]['digests'])} digests for {json.dumps(env)} to {MANIFEST}")
