@@ -11,7 +11,6 @@ training loss never left the uniform-guess plateau.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
@@ -87,10 +86,10 @@ def cmd_train(args) -> int:
     factory = cfg.network_factory(ds)
     for seed in _seeds(cfg, args):
         started = time.monotonic()
-        net, partition = factory(seed)
+        net, partition = factory(cfg.regime, seed)
         state = meta_train(cfg.regime, base_view, cfg.episode, net, partition, replace(cfg.train, seed=seed))
         sidecar = {
-            "arch_hash": factory.arch_hash(),
+            "arch_hash": factory.arch_hash(cfg.regime),
             "config_hash": cfg.config_hash,
             "regime": cfg.regime,
             "seed": seed,
@@ -125,7 +124,7 @@ def cmd_eval(args) -> int:
                     f"cannot be checked; pass --force to evaluate anyway"
                 )
             recorded = sidecar.get("arch_hash", "")
-            expected = factory.arch_hash()
+            expected = factory.arch_hash(cfg.regime)
             if recorded != expected:
                 raise ConfigurationError(
                     f"{ckpt_path.name} records architecture {recorded[:12]} but the eval "
@@ -136,7 +135,7 @@ def cmd_eval(args) -> int:
             log.warning("%s was trained on the OpenBLAS %s kernel and is evaluated on %s; "
                         "GEMM results, and so the report, can differ in their last bits",
                         ckpt_path.name, trained_on, here or "another BLAS")
-        net, partition = factory(seed)
+        net, partition = factory(cfg.regime, seed)
         apply_checkpoint(net, params)
         state = KnowledgeState(network=net, partition=partition, loss=cfg.train.loss,
                                task_l2=cfg.train.task_l2, meta_dropout=cfg.train.meta_dropout,
@@ -149,33 +148,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _build_net(factories: dict, regime: str, seed: int):
-    """The network of `regime`'s factory for `seed`; module-level so that ablation workers can unpickle it."""
-    return factories[regime](seed)
-
-
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(cfg, args)
-    grid = cfg.ablation
-    if any(a in ("M", "M&D") for a in grid.arms) and cfg.train.meta_dropout is None:
-        raise ConfigurationError("ablation includes an 'M' arm but config.train.meta_dropout is not set")
-    if any(a in ("D", "M&D") for a in grid.arms) and cfg.meta_test.task_dropout is None:
-        raise ConfigurationError("ablation includes a 'D' arm but config.meta_test.task_dropout is not set")
     ds = cfg.source.load()
     base_view, _, novel_view = cfg.views(ds)
     assets = AblationAssets(
         base_view=base_view,
         novel_view=novel_view,
-        # each cell's head is sized for the cell's own regime
-        build_net=functools.partial(_build_net, {regime: cfg.network_factory(ds, regime) for regime in grid.regimes}),
+        build_net=cfg.network_factory(ds),
         train_cfg=cfg.train,
         mtest_cfg=cfg.meta_test,
         espec=cfg.episode,
         n_episodes=cfg.n_eval_episodes,
         config_hash=cfg.config_hash,
     )
-    rows = run_ablation(grid, assets, _seeds(cfg, args), jobs=args.jobs)
+    rows = run_ablation(cfg.ablation, assets, _seeds(cfg, args), jobs=args.jobs)
     csv_path = out / "ablation.csv"
     _atomic_write(csv_path, lambda tmp: write_ablation_csv(rows, tmp))
     failed = [r for r in rows if r.report is None]

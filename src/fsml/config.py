@@ -16,7 +16,7 @@ import hashlib
 import json
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .data import (
     Dataset,
@@ -31,7 +31,7 @@ from .errors import ConfigurationError, ContractError
 from .evaluate import AblationGrid
 from .meta import REGIMES, MetaTestConfig, TrainConfig
 from .nn import (
-    _HEADS,
+    Conv4Spec,
     DropoutSpec,
     Network,
     ParamPartition,
@@ -122,32 +122,35 @@ class DatasetSource:
 
 @dataclass(frozen=True)
 class NetworkFactory:
-    """Builds the configured Conv-4 and its parameter partition.
+    """Builds the configured Conv-4 and its parameter partition for a regime.
 
-    Picklable on purpose: ablation workers receive it across process
-    boundaries.  Calling it with the same seed always yields bitwise-identical
-    initial parameters.
+    The head width follows the regime: the base classes for pretraining, C
+    for episodic training.  Picklable on purpose: ablation workers receive
+    it across process boundaries.  Calling it with the same regime and seed
+    always yields bitwise-identical initial parameters.
     """
 
-    widths: tuple[int, int, int, int]
+    network: Conv4Spec
     input_shape: tuple[int, int, int]
-    n_classes: int
-    head_kind: str
-    cosine_scale: float
+    base_classes: int
+    ways: int
     meta_tags: frozenset[str]
 
-    def __call__(self, seed: int) -> tuple[Network, ParamPartition]:
-        net = build_conv4(self.widths, self.input_shape, self.n_classes,
-                          self.head_kind, Rng(seed), cosine_scale=self.cosine_scale)
+    def _n_classes(self, regime: str) -> int:
+        return self.base_classes if regime == "pretrain_finetune" else self.ways
+
+    def __call__(self, regime: str, seed: int) -> tuple[Network, ParamPartition]:
+        net = build_conv4(self.network.widths, self.input_shape, self._n_classes(regime), self.network.head,
+                          Rng(seed), cosine_scale=self.network.cosine_scale)
         return net, partition_params(net, self.meta_tags)
 
-    def arch_hash(self) -> str:
+    def arch_hash(self, regime: str) -> str:
         payload = {
-            "widths": list(self.widths),
+            "widths": list(self.network.widths),
             "input_shape": list(self.input_shape),
-            "n_classes": self.n_classes,
-            "head": self.head_kind,
-            "cosine_scale": self.cosine_scale,
+            "n_classes": self._n_classes(regime),
+            "head": self.network.head,
+            "cosine_scale": self.network.cosine_scale,
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -157,9 +160,7 @@ class ExperimentConfig:
     regime: str
     source: DatasetSource
     split: SplitSpec | tuple[int, int, int]
-    widths: tuple[int, int, int, int]
-    head_kind: str
-    cosine_scale: float
+    network: Conv4Spec
     meta_tags: frozenset[str]
     train: TrainConfig
     meta_test: MetaTestConfig
@@ -169,7 +170,6 @@ class ExperimentConfig:
     out: str | None
     ablation: AblationGrid
     config_hash: str
-    raw: dict = field(repr=False, default_factory=dict)
 
     def resolve_split(self, ds: Dataset) -> SplitSpec:
         if isinstance(self.split, SplitSpec):
@@ -180,17 +180,9 @@ class ExperimentConfig:
     def views(self, ds: Dataset) -> tuple[Dataset, Dataset, Dataset]:
         return split_classes(ds, self.resolve_split(ds))
 
-    def network_factory(self, ds: Dataset, regime: str | None = None) -> NetworkFactory:
-        """Head width follows the regime: base classes for pretraining, C for episodic.
-
-        `regime` defaults to the config's own; an ablation cell passes its own.
-        """
-        if (regime or self.regime) == "pretrain_finetune":
-            n_classes = len(self.resolve_split(ds).base)
-        else:
-            n_classes = self.episode.C
-        return NetworkFactory(self.widths, ds.image_shape, n_classes,
-                              self.head_kind, self.cosine_scale, self.meta_tags)
+    def network_factory(self, ds: Dataset) -> NetworkFactory:
+        return NetworkFactory(self.network, ds.image_shape, len(self.resolve_split(ds).base), self.episode.C,
+                              self.meta_tags)
 
 
 def config_hash(raw: dict) -> str:
@@ -213,14 +205,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     source = _parse_dataset(raw["dataset"])
     split = _parse_split(raw["split"])
-    widths, head_kind, cosine_scale = _parse_network(raw["network"])
+    network = _read(Conv4Spec, raw["network"], "config.network")
+    if "cosine_scale" in raw["network"] and network.head != "cosine":
+        raise ConfigurationError("config.network.cosine_scale only applies to the cosine head")
     meta_tags = _parse_partition(raw["partition"])
     episode = _read(EpisodeSpec, raw["episode"], "config.episode")
 
     train = _read(TrainConfig, raw.get("train", {}), "config.train")
     # a meta-test's Q is the config's n_eval_episodes
-    n_eval = {"Q": _value(raw["n_eval_episodes"], int, "config.n_eval_episodes")} if "n_eval_episodes" in raw else {}
-    meta_test = _read(MetaTestConfig, raw.get("meta_test", {}), "config.meta_test", **n_eval)
+    n_eval = _value(raw.get("n_eval_episodes", MetaTestConfig.Q), int, "config.n_eval_episodes")
+    if n_eval < 1:
+        raise ConfigurationError(f"config.n_eval_episodes must be >= 1, got {n_eval}")
+    meta_test = _read(MetaTestConfig, raw.get("meta_test", {}), "config.meta_test", Q=n_eval)
 
     seeds = _value(raw.get("seeds", [0]), tuple[int, ...], "config.seeds")
     if not seeds:
@@ -234,11 +230,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                      batch_sizes=(train.batch_size,), regimes=(regime,))
 
     return ExperimentConfig(
-        regime=regime, source=source, split=split,
-        widths=widths, head_kind=head_kind, cosine_scale=cosine_scale,
+        regime=regime, source=source, split=split, network=network,
         meta_tags=meta_tags, train=train, meta_test=meta_test, episode=episode,
         n_eval_episodes=meta_test.Q, seeds=seeds, out=out, ablation=ablation,
-        config_hash=config_hash(raw), raw=raw,
+        config_hash=config_hash(raw),
     )
 
 
@@ -269,20 +264,6 @@ def _parse_split(obj) -> SplitSpec | tuple[int, int, int]:
     if all(isinstance(v, list) for v in values):
         return _read(SplitSpec, obj, "config.split")
     raise ConfigurationError("config.split: base/val/novel must be all counts or all class lists")
-
-
-def _parse_network(obj) -> tuple[tuple[int, int, int, int], str, float]:
-    _check_keys(obj, "config.network", ("widths", "head"), ("cosine_scale",))
-    widths = _value(obj["widths"], tuple[int, ...], "config.network.widths")
-    if len(widths) != 4:
-        raise ConfigurationError(f"config.network.widths must list 4 widths, got {len(widths)}")
-    head = _value(obj["head"], str, "config.network.head")
-    if head not in _HEADS:
-        raise ConfigurationError(f"config.network.head must be one of {list(_HEADS)}, got {head!r}")
-    scale = _value(obj.get("cosine_scale", 10.0), float, "config.network.cosine_scale")
-    if "cosine_scale" in obj and head != "cosine":
-        raise ConfigurationError("config.network.cosine_scale only applies to the cosine head")
-    return widths, head, scale
 
 
 def _parse_partition(obj) -> frozenset[str]:

@@ -159,9 +159,7 @@ def split_classes(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Datas
         raise ConfigurationError(f"split names class ids {sorted(bad)} outside [0, {ds.n_classes})")
     return (
         _view(ds, spec.base, f"{ds.name}/base"),
-        _view(ds, spec.val, f"{ds.name}/val") if spec.val else Dataset(
-            np.zeros((0, *ds.image_shape), np.float32), np.zeros(0, np.int64), 0, name=f"{ds.name}/val",
-            global_classes=()),
+        _view(ds, spec.val, f"{ds.name}/val"),
         _view(ds, spec.novel, f"{ds.name}/novel"),
     )
 

@@ -340,7 +340,7 @@ class AblationAssets:
 
     base_view: Dataset
     novel_view: Dataset
-    build_net: object  # callable (regime, seed) -> (Network, ParamPartition)
+    build_net: object  # callable (regime, seed) -> (Network, ParamPartition), as config.NetworkFactory
     train_cfg: TrainConfig
     mtest_cfg: MetaTestConfig
     espec: EpisodeSpec
@@ -385,13 +385,15 @@ def run_cell(cell: AblationCell, assets: AblationAssets, seed: int) -> EvalRepor
 
 
 def run_ablation(grid: AblationGrid, assets: AblationAssets, seeds, jobs: int = 1) -> list[AblationRow]:
-    """Run the full grid x seeds; a failed cell is recorded, not fatal.
+    """Run the full grid x seeds; a failed cell is recorded, but a missing template fails the grid before training.
 
     With jobs > 1 each worker receives `assets` once, and each task only its
     (cell, seed).
     """
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
+    for cell in grid.cells():
+        _cell_specs(cell, assets)
     work = [(cell, seed) for cell in grid.cells() for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(assets,)) as pool:
@@ -437,17 +439,12 @@ def write_ablation_csv(rows: list[AblationRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for cell, cell_rows in grouped.items():
+            lead = [cell.regime, cell.arm, cell.kind, placement_label(cell.placements), cell.batch_size]
             for row in cell_rows:
-                if row.report is None:
-                    writer.writerow([cell.regime, cell.arm, cell.kind, placement_label(cell.placements),
-                                     cell.batch_size, row.seed, "", "", "", row.error])
-                else:
-                    writer.writerow([cell.regime, cell.arm, cell.kind, placement_label(cell.placements),
-                                     cell.batch_size, row.seed, row.report.n_episodes,
-                                     f"{row.report.mean_acc:.6f}", f"{row.report.ci95:.6f}", ""])
+                report = row.report
+                writer.writerow(lead + ([row.seed, "", "", "", row.error] if report is None else [
+                    row.seed, report.n_episodes, f"{report.mean_acc:.6f}", f"{report.ci95:.6f}", ""]))
             means = np.asarray([r.report.mean_acc for r in cell_rows if r.report is not None], dtype=np.float64)
             if means.size:
                 agg_mean, agg_ci = ci95(means)
-                writer.writerow([cell.regime, cell.arm, cell.kind, placement_label(cell.placements),
-                                 cell.batch_size, f"mean({means.size})", "",
-                                 f"{agg_mean:.6f}", f"{agg_ci:.6f}", ""])
+                writer.writerow(lead + [f"mean({means.size})", "", f"{agg_mean:.6f}", f"{agg_ci:.6f}", ""])

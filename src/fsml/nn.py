@@ -464,19 +464,32 @@ class Network:
         self._mask_shapes["head"] = (n_classes,)
 
 
+@dataclass(frozen=True)
+class Conv4Spec:
+    """A Conv-4's architecture: the widths of its four conv blocks, its head kind, and a cosine head's scale."""
+
+    widths: tuple[int, int, int, int]
+    head: str
+    cosine_scale: float = 10.0
+
+    def __post_init__(self):
+        if len(self.widths) != 4 or any(x < 1 for x in self.widths):
+            raise ConfigurationError(f"widths must be four positive ints, got {self.widths}")
+        if self.head not in _HEADS:
+            raise ConfigurationError(f"unknown head kind {self.head!r}")
+
+
 def build_conv4(
     widths: tuple[int, int, int, int],
     input_shape: tuple[int, int, int],
     n_classes: int,
     head_kind: str,
     rng: Rng,
-    cosine_scale: float = 10.0,
+    cosine_scale: float = Conv4Spec.cosine_scale,
     dtype=np.float32,
 ) -> Network:
-    """Four conv blocks, flatten, one head.  Spatial extents must divide by 16."""
-    widths = tuple(int(x) for x in widths)
-    if len(widths) != 4 or any(x < 1 for x in widths):
-        raise ConfigurationError(f"widths must be four positive ints, got {widths}")
+    """Four conv blocks, flatten, one head.  Spatial extents must divide by 16; `Conv4Spec` checks the rest."""
+    spec = Conv4Spec(tuple(int(x) for x in widths), head_kind, cosine_scale)
     if len(input_shape) != 3:
         raise ConfigurationError(f"input_shape must be (c, h, w), got {input_shape}")
     c, h, w = (int(x) for x in input_shape)
@@ -484,22 +497,20 @@ def build_conv4(
         raise ConfigurationError(f"input extents must be positive multiples of 16, got {h}x{w}")
     if n_classes < 2:
         raise ConfigurationError(f"need at least 2 classes, got {n_classes}")
-    if head_kind not in _HEADS:
-        raise ConfigurationError(f"unknown head kind {head_kind!r}")
 
     layers = []
     c_in = c
-    for i, c_out in enumerate(widths, start=1):
+    for i, c_out in enumerate(spec.widths, start=1):
         tag = f"conv{i}"
         layer_rng = rng.derive(f"init-{tag}")
         weight = Tensor(_kaiming_uniform(layer_rng, (c_out, c_in, 3, 3), c_in * 9, dtype))
         layers.append(Conv3x3Block(tag, weight, Tensor(np.zeros(c_out, dtype=dtype))))
         c_in = c_out
     layers.append(Flatten())
-    feat_dim = widths[3] * (h // 16) * (w // 16)
+    feat_dim = spec.widths[3] * (h // 16) * (w // 16)
     head_rng = rng.derive("init-head")
-    if head_kind == "cosine":
-        layers.append(init_cosine_head(n_classes, feat_dim, head_rng, cosine_scale, dtype))
+    if spec.head == "cosine":
+        layers.append(init_cosine_head(n_classes, feat_dim, head_rng, spec.cosine_scale, dtype))
     else:
         layers.append(init_linear_head(n_classes, feat_dim, head_rng, dtype))
     return Network(layers, (c, h, w))

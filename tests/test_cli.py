@@ -1,6 +1,7 @@
 """Config schema validation and the end-to-end command-line workflow."""
 
 import csv
+import inspect
 import json
 import logging
 import os
@@ -21,7 +22,7 @@ from fsml.data import EpisodeSpec, SplitSpec, SyntheticSpec
 from fsml.errors import CheckpointError, ConfigurationError
 from fsml.evaluate import AblationGrid
 from fsml.meta import MetaTestConfig, TrainConfig
-from fsml.nn import DropoutSpec
+from fsml.nn import Conv4Spec, DropoutSpec, build_conv4
 
 
 def base_config(out=None, **overrides):
@@ -64,7 +65,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 def test_parse_minimal_config():
     cfg = parse_config(base_config())
     assert cfg.regime == "pretrain_finetune"
-    assert cfg.widths == (2, 2, 2, 2)
+    assert cfg.network.widths == (2, 2, 2, 2)
     assert cfg.episode.C == 2
     assert cfg.seeds == (0,)
     assert cfg.n_eval_episodes == 6
@@ -124,6 +125,20 @@ def test_parse_rejects_cosine_scale_on_linear_head():
     raw["network"] = {"widths": [2, 2, 2, 2], "head": "linear", "cosine_scale": 5}
     with pytest.raises(ConfigurationError, match="cosine_scale"):
         parse_config(raw)
+
+
+def test_a_cosine_head_without_a_scale_takes_build_conv4s_default():
+    raw = base_config()
+    del raw["network"]["cosine_scale"]
+    network = parse_config(raw).network
+    assert network == Conv4Spec((2, 2, 2, 2), "cosine")
+    assert network.cosine_scale == inspect.signature(build_conv4).parameters["cosine_scale"].default
+
+
+def test_n_eval_episodes_below_one_is_named_as_that_key():
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(base_config(n_eval_episodes=0))
+    assert str(exc.value) == "config.n_eval_episodes must be >= 1, got 0"
 
 
 def test_parse_rejects_unknown_regime():
@@ -203,6 +218,7 @@ _SECTIONS = {
     "dataset": (DatasetSource, ()),
     "dataset.synthetic": (SyntheticSpec, ()),
     "split": (SplitSpec, ()),
+    "network": (Conv4Spec, ()),
     "episode": (EpisodeSpec, ()),
     "train": (TrainConfig, ("seed",)),
     "train.meta_dropout": (DropoutSpec, ()),
@@ -239,6 +255,8 @@ def test_each_section_takes_exactly_its_dataclass_fields(path):
 _VALUE_ERRORS = [
     ("dataset.synthetic", "n_classes", 1, "config.dataset.synthetic: need n_classes >= 2"),
     ("split", "val", [0], "config.split: split class sets must be disjoint"),
+    ("network", "widths", [0, 2, 2, 2], "config.network: widths must be four positive ints, got (0, 2, 2, 2)"),
+    ("network", "head", "softmax", "config.network: unknown head kind 'softmax'"),
     ("episode", "C", 1, "config.episode: episodes need C >= 2 ways, got 1"),
     ("train", "M", 0, "config.train: M must be >= 1, got 0"),
     ("train.meta_dropout", "keep_prob", 0, "config.train.meta_dropout: keep_prob must be in (0, 1], got 0.0"),
@@ -558,12 +576,14 @@ def test_a_subcommand_refuses_flags_it_does_not_read(tmp_path, capsys, command, 
 
 
 def test_ablate_requires_templates(tmp_path, capsys):
-    raw = base_config(out=tmp_path / "o")
-    del raw["train"]["meta_dropout"]
-    raw["ablation"] = {"arms": ["M"]}
-    cfg_path = write_config(tmp_path, raw)
-    assert main(["ablate", "--config", cfg_path]) == 2
-    assert "meta_dropout" in capsys.readouterr().err
+    for arm, section, template in (("M", "train", "meta_dropout"), ("D", "meta_test", "task_dropout")):
+        raw = base_config(out=tmp_path / "o")
+        del raw[section][template]
+        raw["ablation"] = {"arms": [arm]}
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["ablate", "--config", cfg_path]) == 2
+        assert template in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_partition_head_tag_rejected_at_startup(tmp_path, capsys):

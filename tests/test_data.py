@@ -174,7 +174,10 @@ def test_split_views_relabel_contiguously():
     base, val, novel = split_classes(ds, spec)
     assert sorted(set(base.labels.tolist())) == [0, 1]
     assert base.global_classes == (4, 5)
-    assert val.n_samples == 0
+    # the empty val view is a view like the others
+    assert val.images.shape == (0, *ds.image_shape) and val.images.dtype == np.float32
+    assert val.labels.dtype == np.int64 and val.n_samples == 0
+    assert val.n_classes == 0 and val.global_classes == () and val.name == f"{ds.name}/val"
     # view images come from the right original classes
     assert np.array_equal(base.images[base.class_indices(0)], ds.images[ds.class_indices(4)])
 

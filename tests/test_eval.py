@@ -693,6 +693,18 @@ def test_run_cell_missing_template_refused():
         run_cell(cell, assets, seed=0)
 
 
+@pytest.mark.parametrize("arm, cfg_name, template", [("M", "train_cfg", "meta_dropout"),
+                                                     ("D", "mtest_cfg", "task_dropout")])
+def test_run_ablation_refuses_a_missing_template_before_any_training(monkeypatch, arm, cfg_name, template):
+    assets = ablation_fixture()
+    setattr(assets, cfg_name, replace(getattr(assets, cfg_name), **{template: None}))
+    calls = []
+    monkeypatch.setattr(evaluate_module, "meta_train", lambda *args: calls.append(args))
+    with pytest.raises(ContractError, match=rf"arm '{arm}' needs {cfg_name}.{template}"):
+        run_ablation(AblationGrid(arms=("none", arm), kinds=("standard",), batch_sizes=(8,)), assets, seeds=(0, 1))
+    assert calls == []
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_is_a_named_error(jobs):
     state, novel = eval_fixture()
