@@ -141,7 +141,7 @@ def cmd_eval(args) -> int:
                                task_l2=cfg.train.task_l2, meta_dropout=cfg.train.meta_dropout,
                                seed=seed)
         report = evaluate_fewshot(state, novel_view, cfg.episode, cfg.meta_test,
-                                  n_episodes=cfg.n_eval_episodes, seed=seed,
+                                  n_episodes=cfg.meta_test.Q, seed=seed,
                                   config_hash=cfg.config_hash, jobs=args.jobs)
         print(report.summary())
         _atomic_write(out / f"eval_seed{seed}.json", report.to_json().encode())
@@ -160,7 +160,6 @@ def cmd_ablate(args) -> int:
         train_cfg=cfg.train,
         mtest_cfg=cfg.meta_test,
         espec=cfg.episode,
-        n_episodes=cfg.n_eval_episodes,
         config_hash=cfg.config_hash,
     )
     rows = run_ablation(cfg.ablation, assets, _seeds(cfg, args), jobs=args.jobs)

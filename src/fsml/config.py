@@ -165,7 +165,6 @@ class ExperimentConfig:
     train: TrainConfig
     meta_test: MetaTestConfig
     episode: EpisodeSpec
-    n_eval_episodes: int
     seeds: tuple[int, ...]
     out: str | None
     ablation: AblationGrid
@@ -232,8 +231,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         regime=regime, source=source, split=split, network=network,
         meta_tags=meta_tags, train=train, meta_test=meta_test, episode=episode,
-        n_eval_episodes=meta_test.Q, seeds=seeds, out=out, ablation=ablation,
-        config_hash=config_hash(raw),
+        seeds=seeds, out=out, ablation=ablation, config_hash=config_hash(raw),
     )
 
 

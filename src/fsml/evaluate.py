@@ -85,29 +85,45 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _grouped_forward(net: Network, rows: np.ndarray, start: int, stop: int, chunk: int) -> np.ndarray:
+    """An eval-mode forward of `net` from point `start` to `stop` on `rows`, with parameters that hold a slice per chunk.
+
+    Each parameter of the layers it runs holds one slice per chunk of `chunk`
+    rows.  Groups of whole chunks, each of up to _CONV_STACK_FLOATS input
+    floats (or one chunk), run as one forward on their slices [e0:e1], so
+    every GEMM is one slice with its chunk's own shape (see ops.conv2d).  A
+    last short chunk is zero-padded and the padding trimmed off.
+    """
+    per = max(1, _CONV_STACK_FLOATS // (chunk * int(np.prod(rows.shape[1:]))))
+    params = [(t, t.data) for layer in net.layers[start // 2 : (stop + 1) // 2] for t in layer.params().values()]
+    parts = []
+    for e0 in range(0, -(-len(rows) // chunk), per):
+        batch = rows[e0 * chunk : (e0 + per) * chunk]
+        if len(batch) % chunk:
+            batch = np.concatenate([batch, np.zeros((-len(batch) % chunk, *batch.shape[1:]), batch.dtype)])
+        for t, data in params:
+            t.data = data[e0 : e0 + per]
+        parts.append(forward(net, batch, MODE_EVAL, STAGE_META_TESTING, start=start, stop=stop).data)
+    for t, data in params:
+        t.data = data
+    return np.concatenate(parts)[: len(rows)]
+
+
 def _embed(net: Network, images: np.ndarray, cut: int, chunk: int) -> np.ndarray:
     """An eval-mode forward of `net` up to point `cut` on every image, in GEMMs of exactly `chunk` images.
 
-    The last chunk is zero-padded and the padding trimmed off.  The chunks
-    run in groups of up to _CONV_STACK_FLOATS input floats, each group one
-    forward whose convs hold a read-only broadcast of their kernels and
-    biases with one slice per chunk, so every GEMM is one slice of that chunk's shape (see
-    ops.conv2d).  A row's bits depend on the row count of each layer's GEMM,
-    so with `chunk` the size of an episode's query or support set every row
-    is bitwise the one that episode's own forward would give, wherever the
-    position probe (`_position_free`) passes.
+    The convs hold a read-only broadcast of their kernels and biases with
+    one slice per chunk, run in groups by `_grouped_forward`.  A row's bits
+    depend on the row count of each layer's GEMM, so with `chunk` the size
+    of an episode's query or support set every row is bitwise the one that
+    episode's own forward would give, wherever the position probe
+    (`_position_free`) passes.
     """
-    group = chunk * max(1, _CONV_STACK_FLOATS // (chunk * int(np.prod(images.shape[1:]))))
     grouped = net.clone()
-    params = [(t, t.data) for layer in grouped.layers[: (cut + 1) // 2] for t in layer.params().values()]
-    parts = []
-    for first in range(0, len(images), group):
-        batch = images[first : first + group]
-        batch = np.concatenate([batch, np.zeros((-len(batch) % chunk, *batch.shape[1:]), batch.dtype)])
-        for t, data in params:
-            t.data = np.broadcast_to(data, (len(batch) // chunk, *data.shape))
-        parts.append(forward(grouped, batch, MODE_EVAL, STAGE_META_TESTING, stop=cut).data)
-    return np.concatenate(parts)[: len(images)]
+    for layer in grouped.layers[: (cut + 1) // 2]:
+        for t in layer.params().values():
+            t.data = np.broadcast_to(t.data, (-(-len(images) // chunk), *t.shape))
+    return _grouped_forward(grouped, images, 0, cut, chunk)
 
 
 def _position_free(net: Network, first: np.ndarray, cut: int) -> bool:
@@ -152,9 +168,9 @@ def _accuracy(logits: np.ndarray, query_y: np.ndarray) -> float:
 # spread each step's Python cost thin, few enough to bound the stacked arrays
 # whatever n_episodes is
 _STACK = 100
-# the floats of support input a stack's first conv reads per step, at most;
-# larger stacks of 32x32 images got slower as their conv activations left the
-# cache (README, "Meta-test cost")
+# the input floats, at most, of a stack's first conv per step and of one
+# `_grouped_forward` group; larger stacks of 32x32 images got slower as their
+# conv activations left the cache (README, "Meta-test cost")
 _CONV_STACK_FLOATS = 1 << 15
 
 
@@ -173,22 +189,22 @@ def _accuracies(indices, episodes, state: KnowledgeState, espec: EpisodeSpec, mc
     """The accuracies of episodes `indices`, given as (their rngs, support rows, query rows) of the view in `episodes`.
 
     Each cache is (rows of the view at a point, that point); at point 0 the
-    rows are the images.  One meta_test call adapts the stack and one
-    forward classifies it; where the query cache stops short of
+    rows are the images.  One meta_test call adapts the stack and
+    `_grouped_forward` classifies it; where the query cache stops short of
     `meta_test_prefix`, the query sets run up to it as `_embed` chunks of
     one query set each, as each episode's own forward would.
     """
     (feats, cut), (support_feats, support_cut) = query_cache, support_cache
     rngs, support_idx, query_idx = episodes
-    prefix = meta_test_prefix(state, mcfg)
+    prefix, query_size = meta_test_prefix(state, mcfg), espec.C * espec.Q_query
     support_y = np.repeat(np.arange(espec.C, dtype=np.int64), espec.K)
     query_y = np.repeat(np.arange(espec.C, dtype=np.int64), espec.Q_query)
     adapted = meta_test(state, (Batch(support_feats[idx], support_y) for idx in support_idx), mcfg, rngs,
                         start=support_cut)
     rows = feats[query_idx.ravel()]
     if cut < prefix:
-        rows = _embed(state.network, rows, prefix, espec.C * espec.Q_query)
-    logits = forward(adapted.network, rows, MODE_EVAL, STAGE_META_TESTING, start=prefix).data
+        rows = _embed(state.network, rows, prefix, query_size)
+    logits = _grouped_forward(adapted.network, rows, prefix, 2 * len(adapted.network.layers), query_size)
     return [_accuracy(episode_logits, query_y) for episode_logits in logits]
 
 
@@ -233,13 +249,14 @@ def evaluate_fewshot(
     images at most.
 
     The episodes run in stacks, each adapted by one meta_test call and
-    classified by one query forward, with the bytes of per-episode
-    meta_test in every config.  A stack holds up to 100 episodes when
-    meta_test's steps run only the head, and fewer when they run a conv
-    (`_stack_size`); a short evaluation runs stacks of one.  The stacks run
-    in `jobs` worker processes when jobs > 1.  Results are merged by episode
-    index, so jobs > 1 is bit-identical to a serial run.  Per-episode
-    accuracies are accumulated in float64 and the mean is computed once.
+    classified by a query forward per group of its episodes, with the
+    bytes of per-episode meta_test in every config.  A stack holds up to
+    100 episodes when meta_test's steps run only the head, and fewer when
+    they run a conv (`_stack_size`); a short evaluation runs stacks of one.
+    The stacks run in `jobs` worker processes when jobs > 1.  Results are
+    merged by episode index, so jobs > 1 is bit-identical to a serial run.
+    Per-episode accuracies are accumulated in float64 and the mean is
+    computed once.
     """
     if n_episodes < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -344,7 +361,6 @@ class AblationAssets:
     train_cfg: TrainConfig
     mtest_cfg: MetaTestConfig
     espec: EpisodeSpec
-    n_episodes: int = 600
     config_hash: str = ""
 
 
@@ -380,7 +396,7 @@ def run_cell(cell: AblationCell, assets: AblationAssets, seed: int) -> EvalRepor
     mcfg = replace(assets.mtest_cfg, task_dropout=task_spec)
     return evaluate_fewshot(
         state, assets.novel_view, assets.espec, mcfg,
-        n_episodes=assets.n_episodes, seed=seed, config_hash=assets.config_hash,
+        n_episodes=mcfg.Q, seed=seed, config_hash=assets.config_hash,
     )
 
 

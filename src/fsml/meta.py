@@ -92,7 +92,7 @@ class TrainConfig:
 class MetaTestConfig:
     """How a trained state adapts to one novel task."""
 
-    Q: int = 600
+    Q: int = 600  # the episodes an evaluation runs: `fsml eval` and each ablation cell read it
     freeze_meta: bool = True
     finetune_steps: int = 0
     finetune_lr: float = 0.01

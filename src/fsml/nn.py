@@ -153,19 +153,22 @@ def _dropblock_values(keep_prob: float, block: int, shape, rngs, dtype: np.dtype
 
     The E*B samples are then drawn as one batch.  A seed at (ci, cj) drops
     [ci, ci+block) x [cj, cj+block), which fits by construction, so the
-    dropped units are the seed map dilated by block x block shifted ORs.
-    Survivors are rescaled per sample, and a sample whose draw drops every
-    unit is kept whole.
+    dropped units are the seed map dilated by ORs of flat shifts 1..block-1,
+    then w, 2w, .., (block-1)w: the last block-1 rows and columns hold no
+    seed, so no shift reaches the next row or map.  Survivors are rescaled
+    per sample, and a sample whose draw drops every unit is kept whole.
     """
     b, c, h, w = shape
     if block > min(h, w):
         raise ConfigurationError(f"block_size {block} exceeds feature extent {min(h, w)}")
     vh, vw = h - block + 1, w - block + 1
-    seeds = uniform_rows(rngs, (b, c, vh, vw)).reshape(-1, c, vh, vw) < _seed_rate(keep_prob, block, h, w)
-    dropped = np.zeros((len(seeds), c, h, w), dtype=bool)
-    for i in range(block):
-        for j in range(block):
-            dropped[:, :, i : i + vh, j : j + vw] |= seeds
+    dropped = np.zeros((len(rngs) * b, c, h, w), dtype=bool)
+    dropped[:, :, :vh, :vw] = uniform_rows(rngs, (b, c, vh, vw)).reshape(-1, c, vh, vw) < _seed_rate(
+        keep_prob, block, h, w)
+    for step in (1, w):  # along each row, then down each column
+        source, dropped = dropped.reshape(-1), dropped.copy()
+        for s in range(step, block * step, step):
+            dropped.reshape(-1)[s:] |= source[:-s]
     kept = c * h * w - np.count_nonzero(dropped, axis=(1, 2, 3))
     values = ~dropped * (c * h * w / np.maximum(kept, 1)).astype(dtype)[:, None, None, None]
     values[kept == 0] = 1

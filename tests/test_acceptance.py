@@ -158,7 +158,7 @@ def test_c6_protocol_fidelity():
         "network": {"widths": [2, 2, 2, 2], "head": "linear"},
         "partition": {"meta_tags": ["conv1", "conv2", "conv3", "conv4"]},
         "episode": {"C": 2, "K": 1},
-    }).n_eval_episodes
+    }).meta_test.Q
 
     view = gen_synthetic(SyntheticSpec(6, 4, image_extent=16, cluster_std=0.1,
                                        class_separation=2.0, seed=2))
@@ -223,7 +223,6 @@ def test_c8_desk_scale_trend(tmp_path):
         mtest_cfg=MetaTestConfig(Q=600, finetune_steps=5, finetune_lr=1.0,
                                  task_dropout=DropoutSpec("standard", 0.9, frozenset({"conv4"}), "meta_testing")),
         espec=EpisodeSpec(C=5, K=1, Q_query=4),
-        n_episodes=600,
     )
     grid = AblationGrid(arms=("none", "M", "D", "M&D"), kinds=("dropblock",),
                         placements=(frozenset({"conv3", "conv4"}),), batch_sizes=(64,))

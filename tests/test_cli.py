@@ -68,7 +68,6 @@ def test_parse_minimal_config():
     assert cfg.network.widths == (2, 2, 2, 2)
     assert cfg.episode.C == 2
     assert cfg.seeds == (0,)
-    assert cfg.n_eval_episodes == 6
     assert cfg.meta_test.Q == 6
     assert len(cfg.config_hash) == 64
 
@@ -206,7 +205,7 @@ def test_a_config_of_only_required_keys_takes_the_dataclass_defaults():
     })
     assert cfg.train == TrainConfig()
     assert cfg.meta_test == MetaTestConfig()
-    assert cfg.n_eval_episodes == MetaTestConfig().Q
+    assert cfg.meta_test.Q == MetaTestConfig().Q
     assert cfg.episode == EpisodeSpec(2, 1)
     assert cfg.source.synthetic == SyntheticSpec(6, 4)
     # a grid's batch sizes and regimes are the config's own

@@ -452,6 +452,22 @@ def cache_convs(n_read, chunk):
 _ESPEC = EpisodeSpec(C=5, K=1, Q_query=4)  # support sets of 5 and query sets of 20 images
 
 
+def test_an_unfrozen_query_forward_reads_a_cache_sized_group(trained_32px, monkeypatch):
+    # stacks of 6 episodes whose query sets hold 20 images of 1x32x32, 20,480 floats: one episode a forward
+    state, novel = trained_32px
+    mcfg = replace(_FROZEN, freeze_meta=False, finetune_lr=0.1)
+    inputs = []  # the input of each query forward
+
+    def recording_forward(net, batch, *args, **kwargs):
+        inputs.append(np.asarray(batch))
+        return forward(net, batch, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "forward", recording_forward)
+    evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=12, seed=1)
+    assert max(x.size for x in inputs) <= evaluate_module._CONV_STACK_FLOATS
+    assert [len(x) for x in inputs] == [20] * 12
+
+
 def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
     passing_probe(monkeypatch)
     calls = count_convs(monkeypatch)
@@ -577,9 +593,8 @@ def ablation_fixture(n_episodes=4):
     assets = AblationAssets(
         base_view=base, novel_view=novel, build_net=_ablation_build_net,
         train_cfg=TrainConfig(meta_lr=0.05, meta_epochs=1, batch_size=8, meta_dropout=template),
-        mtest_cfg=MetaTestConfig(Q=2, finetune_steps=1, finetune_lr=0.1, task_dropout=task_drop),
+        mtest_cfg=MetaTestConfig(Q=n_episodes, finetune_steps=1, finetune_lr=0.1, task_dropout=task_drop),
         espec=EpisodeSpec(C=2, K=1, Q_query=2),
-        n_episodes=n_episodes,
     )
     return assets
 

@@ -9,7 +9,8 @@ centres, argmax pooling over a reshaped window, a backward through a
 sliding-window view, col2im over the transposed NCHW taps, and np.where.
 A dropblock sample takes one draw, and a draw that drops every unit leaves
 its sample whole, so a batch draw moves the rng by exactly one draw per
-seed site of the batch.
+seed site of the batch.  The dilation of a stack's dropblock seeds by flat
+shifts equals the block x block window ORs it replaced.
 """
 
 import numpy as np
@@ -22,11 +23,13 @@ from fsml.nn import (
     STAGE_META_TRAINING,
     DropoutSpec,
     Mask,
+    _dropblock_values,
+    _seed_rate,
     build_conv4,
     forward,
     make_dropout_mask,
 )
-from fsml.rng import Rng
+from fsml.rng import Rng, uniform_rows
 from fsml.tensor import Tape, Tensor, backward
 
 
@@ -113,6 +116,49 @@ def test_a_batch_draw_moves_the_stream_by_its_seed_sites(pos):
     skipped = Rng(seed)
     skipped.u64_array(bsz * c * (h - 2) * (w - 2))
     assert rng.next_u64() == skipped.next_u64()
+
+
+def window_dropblock_values(keep_prob, block, shape, rngs, dtype):
+    """Dropblock values [E, B, C, H, W] with the seed map dilated by block x block ORs of shifted windows."""
+    b, c, h, w = shape
+    vh, vw = h - block + 1, w - block + 1
+    seeds = uniform_rows(rngs, (b, c, vh, vw)).reshape(-1, c, vh, vw) < _seed_rate(keep_prob, block, h, w)
+    dropped = np.zeros((len(seeds), c, h, w), dtype=bool)
+    for i in range(block):
+        for j in range(block):
+            dropped[:, :, i : i + vh, j : j + vw] |= seeds
+    kept = c * h * w - np.count_nonzero(dropped, axis=(1, 2, 3))
+    values = ~dropped * (c * h * w / np.maximum(kept, 1)).astype(dtype)[:, None, None, None]
+    values[kept == 0] = 1
+    return values.reshape(len(rngs), *shape)
+
+
+# (block, [B, C, H, W]): square and non-square maps, block 1, 3 and 5, and a block as wide or tall as the map
+DILATION_CASES = [
+    (3, (32, 8, 8, 8)),
+    (3, (32, 8, 4, 4)),
+    (1, (3, 3, 5, 7)),
+    (3, (3, 2, 5, 7)),
+    (5, (2, 3, 7, 5)),
+    (3, (4, 2, 6, 3)),
+    (5, (2, 1, 5, 5)),
+    (3, (5, 2, 3, 9)),
+]
+
+
+@pytest.mark.parametrize("block,shape", DILATION_CASES)
+@pytest.mark.parametrize("episodes", [1, 2, 4])
+@pytest.mark.parametrize("keep_prob", [0.3, 0.7, 0.95])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropblock_dilation_by_flat_shifts_equals_window_ors(block, shape, episodes, keep_prob, dtype):
+    for seed in range(3):
+        rngs = [Rng(seed).derive(f"episode-{e}") for e in range(episodes)]
+        ref_rngs = [Rng(seed).derive(f"episode-{e}") for e in range(episodes)]
+        got = _dropblock_values(keep_prob, block, shape, rngs, np.dtype(dtype))
+        want = window_dropblock_values(keep_prob, block, shape, ref_rngs, np.dtype(dtype))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), seed
+        assert [r.next_u64() for r in rngs] == [r.next_u64() for r in ref_rngs]
 
 
 def test_train_forward_with_batched_masks_equals_per_sample_masks():

@@ -8,7 +8,9 @@ query features (the images, where nothing is cached), so they test that
 premise alone, not the row invariance of the query cache (see
 tests/test_eval.py).  Every config stacks: head-only adaptation, the whole
 backbone adapting, task dropout in the backbone, and conv4 as task
-knowledge.  A stack of one episode equals the one-episode form too.
+knowledge.  A stack of one episode equals the one-episode form too, and
+a stack's query forward in groups of any number of episodes equals its
+forward over the whole stack.
 
 A stack draws its random numbers once: each mask kind, each head kind and
 the episode plan, drawn for E streams as one array, equal E draws of one
@@ -165,6 +167,34 @@ def one_episode_mismatches(head, mcfg, tags, n_episodes=3, seed=3) -> list[str]:
 @pytest.mark.parametrize("case", list(ONE_EPISODE_CASES))
 def test_a_stack_of_one_equals_meta_test_on_one_episode(case):
     assert one_episode_mismatches(*ONE_EPISODE_CASES[case]) == []
+
+
+# case -> (meta-test config, meta tags): the query forward runs the whole backbone, conv4 or only the head
+GROUPED_CASES = {
+    "unfrozen": (_UNFROZEN, CONV_TAGS),
+    "frozen, dropout on conv4": (replace(_FROZEN, task_dropout=_task_drop("standard", "conv4")), CONV_TAGS),
+    "frozen, dropblock on conv3": (replace(_FROZEN, task_dropout=_task_drop("dropblock", "conv3", 3)), CONV_TAGS),
+    "conv4 is task knowledge": (_FROZEN, CONV_TAGS - {"conv4"}),
+}
+
+
+@pytest.mark.parametrize("head", ["cosine", "linear"])
+@pytest.mark.parametrize("case", list(GROUPED_CASES))
+def test_a_grouped_query_forward_equals_the_whole_stack_forward(monkeypatch, case, head):
+    # groups of 1, 2, 3 and 7 of a 7-episode stack: the query logits keep their bytes
+    mcfg, tags = GROUPED_CASES[case]
+    state, view = _state_and_view(head, 0.0, tags)
+    cut, chunk, n = meta_test_prefix(state, mcfg), ESPEC.C * ESPEC.Q_query, 7
+    feats = evaluate._embed(state.network, view.images, cut, chunk) if cut else view.images
+    episodes, rngs = zip(*(_episode(i, view, ESPEC, 3) for i in range(n)))
+    queries = np.concatenate([feats[episode.query_idx] for episode in episodes])
+    with ops.one_blas_thread():
+        stacked = meta_test(state, [episode.support for episode in episodes], mcfg, list(rngs))
+        whole = forward(stacked.network, queries, MODE_EVAL, STAGE_META_TESTING, start=cut).data
+        for group in (1, 2, 3, 7):
+            monkeypatch.setattr(evaluate, "_CONV_STACK_FLOATS", group * chunk * int(np.prod(feats.shape[1:])))
+            grouped = evaluate._grouped_forward(stacked.network, queries, cut, 2 * len(state.network.layers), chunk)
+            assert grouped.tobytes() == whole.tobytes(), group
 
 
 _CHILD = """
@@ -333,10 +363,11 @@ _STACKED_DRAW_TESTS = [
 ]
 
 
-# the tests of the view caches and of the training fast paths, each bitwise
-# against a plain path, and the evaluate, training and ablate digests recorded for
+# the grouped query forward and the tests of the view caches and of the
+# training fast paths, each bitwise against a plain path, and the evaluate, training and ablate digests recorded for
 # each kernel, rerun whole in a child under another kernel
 _KERNEL_TESTS = [
+    "test_stacking.py::test_a_grouped_query_forward_equals_the_whole_stack_forward",
     *(f"test_eval.py::{name}" for name in (
         "test_chunked_embedding_rows_equal_any_forward_of_that_many_images",
         "test_the_position_probe_fails_a_forward_that_changes_one_position",
