@@ -109,49 +109,95 @@ def _grouped_forward(net: Network, rows: np.ndarray, start: int, stop: int, chun
     return np.concatenate(parts)[: len(rows)]
 
 
-def _embed(net: Network, images: np.ndarray, cut: int, chunk: int) -> np.ndarray:
-    """An eval-mode forward of `net` up to point `cut` on every image, in GEMMs of exactly `chunk` images.
+def _embed(net: Network, rows: np.ndarray, start: int, stop: int, chunk: int) -> np.ndarray:
+    """An eval-mode forward of `net` from point `start` to `stop` on every row, in GEMMs of exactly `chunk` rows.
 
     The convs hold a read-only broadcast of their kernels and biases with
     one slice per chunk, run in groups by `_grouped_forward`.  A row's bits
     depend on the row count of each layer's GEMM, so with `chunk` the size
     of an episode's query or support set every row is bitwise the one that
-    episode's own forward would give, wherever the position probe
-    (`_position_free`) passes.
+    episode's own forward would give, wherever the probe (`_shared_point`)
+    passes.
     """
     grouped = net.clone()
-    for layer in grouped.layers[: (cut + 1) // 2]:
+    for layer in grouped.layers[start // 2 : (stop + 1) // 2]:
         for t in layer.params().values():
-            t.data = np.broadcast_to(t.data, (-(-len(images) // chunk), *t.shape))
-    return _grouped_forward(grouped, images, 0, cut, chunk)
+            t.data = np.broadcast_to(t.data, (-(-len(rows) // chunk), *t.shape))
+    return _grouped_forward(grouped, rows, start, stop, chunk)
 
 
-def _position_free(net: Network, first: np.ndarray, cut: int) -> bool:
-    """The position probe: whether the rows of `first` at point `cut` keep their bits wherever they sit in the batch.
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bytes, the test of both probes."""
+    return a.tobytes() == b.tobytes()
 
-    It runs `first` as one plain forward, as an episode runs its own set,
-    then rotated by one and reversed through `_embed`, and compares every
-    row bit for bit.  With some OpenBLAS kernels (`Haswell`) a row's bits
-    change when it moves into or out of the last position of a batch.
+
+def _shared_point(net: Network, first: np.ndarray, cut: int, share: int, chunk: int) -> int | None:
+    """The point p <= `share` from which a cache of `first`'s rows may run on from the trunk, or None.
+
+    The sharing probe and the position probe run in one pass.  It runs
+    `first` as one plain forward, as an episode runs its own set, and its
+    rows rotated by one and reversed inside zero-padded chunks of `chunk`
+    rows, as the trunk runs them, both a layer at a time (to the points 2,
+    4, ... and `share`); p is the last of those points up to which every row
+    keeps its bits.  From p the rotated and reversed rows run on to `cut`
+    through `_embed` in chunks of len(first), as the cache runs them, and
+    the probe fails (None) unless every row then has its plain forward's
+    bits.  At `share` 0 it is the position probe alone: with some OpenBLAS
+    kernels (`Haswell`) a row's bits change when it moves into or out of
+    the last position of a batch.
     """
-    rows = forward(net, first, MODE_EVAL, STAGE_META_TESTING, stop=cut).data
     orders = np.concatenate([np.roll(np.arange(len(first)), 1), np.arange(len(first))[::-1]])
-    return _embed(net, first[orders], cut, len(first)).tobytes() == rows[orders].tobytes()
+    plain, rows, point = first, first[orders], 0
+    padded = np.concatenate([rows, np.zeros((-len(rows) % chunk, *rows.shape[1:]), rows.dtype)])
+    for stop in (min(k, share) for k in range(2, share + 2, 2)):
+        plain_k = forward(net, plain, MODE_EVAL, STAGE_META_TESTING, start=point, stop=stop).data
+        padded = _embed(net, padded, point, stop, chunk)
+        if not _same_bits(plain_k[orders], padded[: len(orders)]):
+            break
+        plain, rows, point = plain_k, padded[: len(orders)], stop
+    if point < cut:
+        plain = forward(net, plain, MODE_EVAL, STAGE_META_TESTING, start=point, stop=cut).data
+        rows = _embed(net, rows, point, cut, len(first))
+    return point if _same_bits(plain[orders], rows) else None
 
 
-def _cache(net: Network, images: np.ndarray, read: np.ndarray, cut: int, chunk: int) -> tuple[np.ndarray, int]:
-    """The view with `_embed`'s rows at `cut` in its rows `read` (sorted; others zero), or the images and point 0.
+def _cache(net: Network, trunk: tuple[np.ndarray, int], read: np.ndarray, cut: int,
+           chunk: int) -> tuple[np.ndarray, int]:
+    """The view with rows at `cut` in its rows `read` (sorted; others zero), run on from `trunk`, and `cut`.
 
-    The images come at cut 0 or where the position probe fails on the first
-    chunk read: a cache whose rows sit elsewhere in their chunk than in an
-    episode's own forward gives that episode its bits only where it passes.
+    `trunk` is (rows of the view at a point p <= `cut`, p); at p 0 they are
+    the images.  The rows `read` run on from p in `_embed` chunks of `chunk`;
+    at p == `cut` the trunk is the cache.
     """
-    if not cut or not _position_free(net, images[read[:chunk]], cut):
-        return images, 0
-    rows = _embed(net, images[read], cut, chunk)
-    feats = np.zeros((len(images), *rows.shape[1:]), dtype=rows.dtype)
-    feats[read] = rows
-    return feats, cut
+    feats, point = trunk
+    if point == cut:
+        return trunk
+    rows = _embed(net, feats[read], point, cut, chunk)
+    out = np.zeros((len(feats), *rows.shape[1:]), dtype=rows.dtype)
+    out[read] = rows
+    return out, cut
+
+
+def _caches(net: Network, images: np.ndarray, reads, cuts, chunks) -> tuple[tuple[np.ndarray, int], ...]:
+    """The query and support caches, each (rows of the view at a point, that point), on one trunk.
+
+    `reads`, `cuts` and `chunks` give each cache's rows read (sorted), its
+    cut (the support cut is at most the query cut) and its set size, the
+    query cache's first.  Each cache keeps its cut where its probe, on the
+    first chunk it reads, passes; else it is the images at point 0.  The
+    trunk is the `_cache` of the rows either cache reads up to the support
+    probe's shared point p, in query-sized chunks, and the images at p 0.
+    """
+    (query_read, support_read), (query_cut, support_cut), (query_size, support_size) = reads, cuts, chunks
+    if query_cut and _shared_point(net, images[query_read[:query_size]], query_cut, 0, query_size) is None:
+        query_cut = 0
+    point = _shared_point(net, images[support_read[:support_size]], support_cut, min(query_cut, support_cut),
+                          query_size) if support_cut else 0
+    if point is None:
+        point = support_cut = 0
+    trunk = _cache(net, (images, 0), np.union1d(query_read, support_read), point, query_size)
+    return (_cache(net, trunk, query_read, query_cut, query_size),
+            _cache(net, trunk, support_read, support_cut, support_size))
 
 
 def _episode_rng(seed: int, index: int) -> Rng:
@@ -203,7 +249,7 @@ def _accuracies(indices, episodes, state: KnowledgeState, espec: EpisodeSpec, mc
                         start=support_cut)
     rows = feats[query_idx.ravel()]
     if cut < prefix:
-        rows = _embed(state.network, rows, prefix, query_size)
+        rows = _embed(state.network, rows, 0, prefix, query_size)
     logits = _grouped_forward(adapted.network, rows, prefix, 2 * len(adapted.network.layers), query_size)
     return [_accuracy(episode_logits, query_y) for episode_logits in logits]
 
@@ -242,11 +288,17 @@ def evaluate_fewshot(
     features.  With freeze_meta and finetune steps, the part that meta_test
     runs once per support set, up to the point `adaptation_cut`, runs once
     per call over the images read as support, and meta_test adapts each
-    episode from its support rows (`start`).  Each cache is built in chunks of one query or one support
-    set, after a position probe (`_position_free`), so the result is bitwise
-    that of per-episode forwards; where the probe fails, that cache is
-    skipped.  A cache embeds the probe and min(view, n_episodes * chunk)
-    images at most.
+    episode from its support rows (`start`).  The two caches share a trunk
+    (`_caches`): the images read as query or as support run once, in chunks
+    of one query set, up to the point p where the support probe
+    (`_shared_point`) finds that a support set's rows keep their bits in
+    such a chunk; each cache then runs its own images on from p to its cut
+    in chunks of one of its sets.  The probes keep the result bitwise that
+    of per-episode forwards: where a cache's probe fails, that cache is
+    skipped, and at p 0 each cache embeds its own images from the start.
+    The caches cost two probes (a plain forward of one set each, and a few
+    chunks), the trunk's min(view, n_episodes * (C * Q_query + C * K))
+    images up to p, and each cache's own images from p to its cut.
 
     The episodes run in stacks, each adapted by one meta_test call and
     classified by a query forward per group of its episodes, with the
@@ -264,12 +316,12 @@ def evaluate_fewshot(
         raise ContractError(f"jobs must be >= 1, got {jobs}")
     rngs = [_episode_rng(seed, i) for i in range(n_episodes)]
     support_idx, query_idx = sample_plan(novel_view, espec, derive_rows(rngs, "sample"))
-    net, images, query_size = state.network, novel_view.images, espec.C * espec.Q_query
+    query_size = espec.C * espec.Q_query
     # without freeze_meta, meta_test adapts conv1 and the adaptation cut is 0; with no steps it reads no support rows
     support_cut = adaptation_cut(state, mcfg) if mcfg.finetune_steps else 0
-    args = (state, espec, mcfg,
-            _cache(net, images, np.unique(query_idx), meta_test_prefix(state, mcfg), query_size),
-            _cache(net, images, np.unique(support_idx), support_cut, espec.C * espec.K))
+    caches = _caches(state.network, novel_view.images, (np.unique(query_idx), np.unique(support_idx)),
+                     (meta_test_prefix(state, mcfg), support_cut), (query_size, espec.C * espec.K))
+    args = (state, espec, mcfg, *caches)
     # a short evaluation (fewer query images than the view holds) runs stacks of one; perfbench counts them
     size = 1 if n_episodes * query_size < novel_view.n_samples else _stack_size(state, espec, mcfg)
     stacks = [(range(i, min(i + size, n_episodes)), (rngs[i : i + size], support_idx[i : i + size],

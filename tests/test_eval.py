@@ -215,9 +215,9 @@ def test_chunked_embedding_rows_equal_any_forward_of_that_many_images(trained_32
     # the row sits in it
     state, novel = trained_32px
     assert novel.n_samples % chunk != 0
-    feats = evaluate_module._embed(state.network, novel.images, cut, chunk)
+    feats = evaluate_module._embed(state.network, novel.images, 0, cut, chunk)
     assert feats.shape[0] == novel.n_samples
-    probe_passes = evaluate_module._position_free(state.network, novel.images[:chunk], cut)
+    probe_passes = evaluate_module._shared_point(state.network, novel.images[:chunk], cut, 0, chunk) == 0
     rng = Rng(chunk * 10 + cut)
     batches = [np.array(rng.choice(novel.n_samples, chunk)) for _ in range(4)]
     batches.append(np.arange(novel.n_samples - 1, novel.n_samples - 1 - chunk, -1))
@@ -241,11 +241,16 @@ def test_the_position_probe_fails_a_forward_that_changes_one_position(trained_32
 
     monkeypatch.setattr(evaluate_module, "forward", forward_that_moves)
     read = np.arange(1, novel.n_samples, 2)  # the rows some episode reads, sorted
+    passes = moved_row is None
     for chunk in (5, 20):
-        assert evaluate_module._position_free(state.network, novel.images[:chunk], 10) == (moved_row is None)
-        feats, cut = evaluate_module._cache(state.network, novel.images, read, 10, chunk)
-        assert cut == (10 if moved_row is None else 0)
-        if moved_row is None:  # the rows read, at their view rows; the others zero
+        point = evaluate_module._shared_point(state.network, novel.images[:chunk], 10, 0, chunk)
+        assert point == (0 if passes else None)
+    # where no row moves, the support probe shares every point up to its cut
+    assert evaluate_module._shared_point(state.network, novel.images[:5], 10, 10, 20) == (10 if passes else None)
+    caches = evaluate_module._caches(state.network, novel.images, (read, read), (10, 10), (20, 5))
+    for feats, cut in caches:
+        assert cut == (10 if passes else 0)
+        if passes:  # the rows read, at their view rows; the others zero
             assert np.array_equal(feats[read], novel.images[read] + 1)
             assert not feats[::2].any()
         else:
@@ -364,7 +369,7 @@ def test_a_failed_position_probe_gives_the_same_report_uncached(trained_32px, mo
     mcfg = replace(_FROZEN, task_dropout=_task_drop("conv4"))
     cached = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1)
     calls = count_convs(monkeypatch)
-    monkeypatch.setattr(evaluate_module, "_position_free", lambda *args: False)
+    monkeypatch.setattr(evaluate_module, "_shared_point", lambda *args: None)
     assert evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=1) == cached
     # no probe ran a conv: per episode, the support forward up to conv4's
     # mask and the query forward up to the head, each of its own images
@@ -427,9 +432,12 @@ def count_convs(monkeypatch) -> list:
 
 
 def passing_probe(monkeypatch) -> None:
-    """Run the position probe, convs and all, and take its pass whatever the kernel gives."""
-    probe = evaluate_module._position_free
-    monkeypatch.setattr(evaluate_module, "_position_free", lambda *args: probe(*args) or True)
+    """Run the probes, convs and all, and take every comparison as equal whatever the kernel gives.
+
+    The support probe then shares every point up to the support cut: the
+    trunk runs up to it and is the support cache.
+    """
+    monkeypatch.setattr(evaluate_module, "_same_bits", lambda a, b: True)
 
 
 def read_rows(view, espec, n, seed):
@@ -439,7 +447,7 @@ def read_rows(view, espec, n, seed):
 
 
 def cache_convs(n_read, chunk):
-    """The convs of a cache of `n_read` 32x32 images up to point 10 or 7, in chunks of `chunk`.
+    """The convs of a cache of its own (no trunk) of `n_read` 32x32 images up to point 10 or 7, in chunks of `chunk`.
 
     The probe's plain forward and its two chunks, then the chunks of what is
     read (the last padded); `_embed` runs as many chunks in one forward as
@@ -447,6 +455,18 @@ def cache_convs(n_read, chunk):
     """
     per_group = max(1, evaluate_module._CONV_STACK_FLOATS // (chunk * 32 * 32))
     return 4 * (1 + math.ceil(2 / per_group) + math.ceil(math.ceil(n_read / chunk) / per_group))
+
+
+def trunk_convs(n_union):
+    """The convs of a frozen 5-way 1-shot evaluate of 32x32 images, support cut at point 7 or later, under `passing_probe`.
+
+    The query probe's plain forward and its two chunks of 20; the support
+    probe's plain forward and its padded chunk of 20, a layer a forward;
+    then the trunk: the `n_union` images read, in chunks of 20 (the last
+    padded), one chunk a forward.  Each runs the four convs once, and no
+    cache runs a conv on from the trunk.
+    """
+    return 4 * (1 + 2) + 4 * 2 + 4 * math.ceil(n_union / 20)
 
 
 _ESPEC = EpisodeSpec(C=5, K=1, Q_query=4)  # support sets of 5 and query sets of 20 images
@@ -475,10 +495,10 @@ def test_frozen_evaluate_embeds_each_image_once(trained_32px, monkeypatch):
     n = 7
     support, query = read_rows(novel, _ESPEC, n, seed=1)
     evaluate_fewshot(state, novel, _ESPEC, _FROZEN, n_episodes=n, seed=1)
-    # each image read is embedded once per cache, and no episode runs a conv;
+    # each image read is embedded once, in the trunk, and no episode runs a conv;
     # without the caches each episode adds 4 for its support and 4 for its query
     assert len(support) <= n * 5 < novel.n_samples
-    assert len(calls) == cache_convs(len(query), 20) + cache_convs(len(support), 5)
+    assert len(calls) == trunk_convs(len(np.union1d(support, query)))
 
 
 def test_frozen_evaluate_embeds_the_support_sets_once(trained_32px, monkeypatch):
@@ -490,9 +510,9 @@ def test_frozen_evaluate_embeds_the_support_sets_once(trained_32px, monkeypatch)
     for mcfg in (_FROZEN, replace(_FROZEN, task_dropout=_task_drop("conv4"))):
         calls.clear()
         evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1)
-        # up to point 10 or up to conv4's mask (point 7), four convs a
-        # forward; a chunk of 5 images holds 5,120 floats, so a group holds 6
-        assert len(calls) == cache_convs(len(query), 20) + cache_convs(len(support), 5)
+        # the trunk runs up to point 10, or up to conv4's mask (point 7) and
+        # the query cache on from there, through no conv
+        assert len(calls) == trunk_convs(len(np.union1d(support, query)))
 
 
 def test_task_dropout_on_conv4_costs_four_convs_per_episode(trained_32px, monkeypatch):
@@ -500,16 +520,17 @@ def test_task_dropout_on_conv4_costs_four_convs_per_episode(trained_32px, monkey
     n = 7
     support, query = read_rows(novel, _ESPEC, n, seed=1)
     mcfg = replace(_FROZEN, finetune_steps=5, task_dropout=_task_drop("conv4"))
-    probe = evaluate_module._position_free
+    probe = evaluate_module._shared_point
+    passing_probe(monkeypatch)
     for support_cached in (True, False):
-        # the query probe passes; the support probe passes, or fails and leaves the support uncached
-        monkeypatch.setattr(evaluate_module, "_position_free",
-                            lambda net, first, cut: (len(first) != 5 or support_cached) and (probe(net, first, cut) or True))
+        # the query probe passes; the support probe passes, or fails before it runs and leaves the support uncached
+        monkeypatch.setattr(evaluate_module, "_shared_point", lambda net, first, *args: (
+            probe(net, first, *args) if len(first) != 5 or support_cached else None))
         calls = count_convs(monkeypatch)
         evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1)
         # an uncached support forward runs conv4 up to its mask once, not on each of the 5 steps
-        support_convs = cache_convs(len(support), 5) if support_cached else 4 * n
-        assert len(calls) == cache_convs(len(query), 20) + support_convs
+        want = trunk_convs(len(np.union1d(support, query))) if support_cached else cache_convs(len(query), 20) + 4 * n
+        assert len(calls) == want
 
 
 def test_a_short_frozen_evaluate_embeds_only_the_images_it_reads(trained_32px, monkeypatch):
@@ -518,21 +539,22 @@ def test_a_short_frozen_evaluate_embeds_only_the_images_it_reads(trained_32px, m
     n = 2
     assert n * _ESPEC.C * _ESPEC.Q_query < novel.n_samples
     support, query = read_rows(novel, _ESPEC, n, seed=1)
-    embedded = []  # the images of each _embed call
+    union = np.union1d(support, query)
+    embedded = []  # the rows of each _embed call
     embed = evaluate_module._embed
 
-    def recording_embed(net, images, cut, chunk):
-        embedded.append(images)
-        return embed(net, images, cut, chunk)
+    def recording_embed(net, rows, start, stop, chunk):
+        embedded.append(rows)
+        return embed(net, rows, start, stop, chunk)
 
     monkeypatch.setattr(evaluate_module, "_embed", recording_embed)
     calls = count_convs(monkeypatch)
     evaluate_fewshot(state, novel, _ESPEC, _FROZEN, n_episodes=n, seed=1)
-    # the query cache, then the support cache, each a probe of two chunks and then the images read
-    assert [len(images) for images in embedded] == [2 * 20, len(query), 2 * 5, len(support)]
-    assert np.array_equal(embedded[1], novel.images[query]) and len(query) <= n * 20 < novel.n_samples
-    assert np.array_equal(embedded[3], novel.images[support])
-    assert len(calls) == cache_convs(len(query), 20) + cache_convs(len(support), 5)
+    # the query probe's two chunks, the support probe's padded chunk a layer
+    # at a time (to points 2, 4, 6, 8 and 10), then the trunk: the images read
+    assert [len(rows) for rows in embedded] == [2 * 20, *[20] * 5, len(union)]
+    assert np.array_equal(embedded[-1], novel.images[union]) and len(union) <= n * 25 < novel.n_samples
+    assert len(calls) == trunk_convs(len(union))
 
 
 @pytest.mark.parametrize("failing", ["query", "support"])
@@ -542,23 +564,158 @@ def test_a_probe_that_fails_for_one_cache_skips_only_that_cache(trained_32px, mo
     mcfg = replace(_FROZEN, task_dropout=_task_drop("conv4"))  # a query cache at point 10, a support cache at 7
     want = evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1).to_json()
     failing_chunk = {"query": 20, "support": 5}[failing]
-    probe, cache = evaluate_module._position_free, evaluate_module._cache
-    passed, cuts = {}, {}  # by chunk size: what the real probe gave, and the cache's point
+    probe, cache = evaluate_module._shared_point, evaluate_module._cache
+    passed, cuts = {}, {}  # by chunk size: whether the real probe passed, and the point of the last cache built
 
-    def one_sided_probe(net, first, cut):
-        passed[len(first)] = len(first) != failing_chunk and probe(net, first, cut)
-        return passed[len(first)]
+    def one_sided_probe(net, first, *args):
+        point = None if len(first) == failing_chunk else probe(net, first, *args)
+        passed[len(first)] = point is not None
+        return point
 
-    def recording_cache(net, images, read, cut, chunk):
-        feats, cuts[chunk] = cache(net, images, read, cut, chunk)
+    def recording_cache(net, trunk, read, cut, chunk):
+        feats, cuts[chunk] = cache(net, trunk, read, cut, chunk)
         return feats, cuts[chunk]
 
-    monkeypatch.setattr(evaluate_module, "_position_free", one_sided_probe)
+    monkeypatch.setattr(evaluate_module, "_shared_point", one_sided_probe)
     monkeypatch.setattr(evaluate_module, "_cache", recording_cache)
     assert evaluate_fewshot(state, novel, _ESPEC, mcfg, n_episodes=n, seed=1).to_json() == want
     assert cuts[failing_chunk] == 0
     other = 25 - failing_chunk
     assert cuts[other] == ({20: 10, 5: 7}[other] if passed[other] else 0)
+
+
+@pytest.mark.parametrize("chunk", [20, 5])
+def test_an_embed_continued_from_any_point_equals_one_embed(trained_32px, chunk):
+    # the trunk rests on this: a forward to point p and one on from p, in chunks of one size, are the forward
+    state, novel = trained_32px
+    whole = evaluate_module._embed(state.network, novel.images, 0, 10, chunk)
+    for point in range(1, 10):
+        trunk = evaluate_module._embed(state.network, novel.images, 0, point, chunk)
+        assert evaluate_module._embed(state.network, trunk, point, 10, chunk).tobytes() == whole.tobytes()
+
+
+def test_a_frozen_evaluate_runs_conv1_on_the_images_read_once_and_on_the_probes(trained_32px, monkeypatch):
+    passing_probe(monkeypatch)
+    state, novel = trained_32px
+    conv1_rows = []  # the images of each conv1 call, which alone reads one channel
+    conv2d = ops.conv2d
+
+    def recording_conv2d(x, kernel, *args, **kwargs):
+        if kernel.shape[-3] == 1:
+            conv1_rows.append(x.shape[0])
+        return conv2d(x, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d", recording_conv2d)
+    for n in (13, 2):
+        support, query = read_rows(novel, _ESPEC, n, seed=1)
+        conv1_rows.clear()
+        evaluate_fewshot(state, novel, _ESPEC, _FROZEN, n_episodes=n, seed=1)
+        # the query probe's plain forward and two chunks of 20, the support
+        # probe's plain forward and padded chunk of 20, then the images read
+        # as query or as support in chunks of 20, the last padded; not the
+        # query images in chunks of 20 and then the support images in chunks of 5
+        union = 20 * math.ceil(len(np.union1d(support, query)) / 20)
+        separate = 20 * math.ceil(len(query) / 20) + 5 * math.ceil(len(support) / 5)
+        assert sum(conv1_rows) == 20 + 2 * 20 + 5 + 20 + union
+        # 13 episodes read all 63 images as query; 2 read at most 50, in three padded chunks of 20
+        assert union < separate if n == 13 else union == 60 > separate
+
+
+# case -> (meta tags, meta-test config, episode spec, the cuts of the query cache and of the support cache)
+TRUNK_CASES = {
+    "arm none": (CONV_TAGS, _FROZEN, _ESPEC, 10, 10),
+    "task dropout on conv4": (CONV_TAGS, replace(_FROZEN, task_dropout=_task_drop("conv4")), _ESPEC, 10, 7),
+    "dropblock on conv3": (CONV_TAGS, replace(_FROZEN, task_dropout=DropoutSpec(
+        "dropblock", 0.7, frozenset({"conv3"}), STAGE_META_TESTING, 3)), _ESPEC, 10, 5),
+    "conv4 is task knowledge": (CONV_TAGS - {"conv4"}, _FROZEN, _ESPEC, 6, 6),
+    "5-shot": (CONV_TAGS, _FROZEN, EpisodeSpec(C=5, K=5, Q_query=4), 10, 10),
+}
+
+
+def recorded_evaluate(monkeypatch, state, novel, espec, mcfg, n, seed):
+    """An evaluate's per-episode accuracies, query logits and adapted heads, and its caches' (trunk point, cut)."""
+    logits, heads, points = [], [], []
+    accuracy, cache = evaluate_module._accuracy, evaluate_module._cache
+
+    def recording_accuracy(rows, query_y):
+        logits.append(rows)
+        return accuracy(rows, query_y)
+
+    def recording_meta_test(*args, **kwargs):
+        adapted = meta_test(*args, **kwargs)
+        n_stacked = len(next(iter(adapted.network.head.params().values())).data)
+        heads.extend(head_values(adapted.network, e) for e in range(n_stacked))
+        return adapted
+
+    def recording_cache(net, trunk, read, cut, chunk):
+        feats, cut = cache(net, trunk, read, cut, chunk)
+        points.append((trunk[1], cut))
+        return feats, cut
+
+    monkeypatch.setattr(evaluate_module, "_accuracy", recording_accuracy)
+    monkeypatch.setattr(evaluate_module, "meta_test", recording_meta_test)
+    monkeypatch.setattr(evaluate_module, "_cache", recording_cache)
+    report = evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=seed)
+    return report.per_episode_acc, logits, heads, points
+
+
+@pytest.mark.parametrize("case", list(TRUNK_CASES))
+def test_the_trunk_gives_the_bytes_of_separate_caches_and_of_no_cache(trained_32px, monkeypatch, case):
+    tags, mcfg, espec, query_cut, support_cut = TRUNK_CASES[case]
+    trained, novel = trained_32px
+    state = KnowledgeState(trained.network, partition_params(trained.network, tags), seed=7)
+    assert (meta_test_prefix(state, mcfg), adaptation_cut(state, mcfg)) == (query_cut, support_cut)
+    probe = evaluate_module._shared_point
+    probes = {
+        "trunk": probe,
+        # the sharing probe fails at conv1: the two caches of their own, each behind its position probe
+        "separate caches": lambda net, first, cut, share, chunk: probe(net, first, cut, 0, chunk),
+        "no cache": lambda *args: None,
+    }
+    for n in (12, 2):  # every image of the view read, 63 in the trunk; a short evaluate
+        ref_accs, ref_logits, ref_heads = reference_episodes(state, novel, espec, mcfg, n, seed=5)
+        for name, variant in probes.items():
+            monkeypatch.setattr(evaluate_module, "_shared_point", variant)
+            accs, logits, heads, points = recorded_evaluate(monkeypatch, state, novel, espec, mcfg, n, seed=5)
+            assert accs == ref_accs, name
+            assert len(logits) == n and all(a.tobytes() == b.tobytes() for a, b in zip(logits, ref_logits)), name
+            assert len(heads) == n, name
+            for got, want in zip(heads, ref_heads):
+                assert got.keys() == want.keys()
+                assert all(got[pid].tobytes() == want[pid].tobytes() for pid in want), name
+            # the trunk is a cache of the images up to p, and each cache runs on from it
+            (start, point), (query_point, got_query_cut), (support_point, got_support_cut) = points
+            assert start == 0 and point == query_point == support_point
+            assert got_query_cut in (query_cut, 0) and got_support_cut in (support_cut, 0)
+            # a trunk only where both caches are kept, and never past the support cut
+            assert point == 0 or (name == "trunk" and 0 < point <= got_support_cut and got_query_cut)
+            if name == "no cache":
+                assert got_query_cut == got_support_cut == 0
+
+
+@pytest.mark.parametrize("case", ["arm none", "task dropout on conv4", "conv4 is task knowledge"])
+def test_a_trunk_that_reaches_a_cut_is_that_cache(trained_32px, monkeypatch, case):
+    # with every comparison taken as equal, the trunk runs up to the support
+    # cut, and up to the query cut too where they are one point
+    passing_probe(monkeypatch)
+    tags, mcfg, espec, query_cut, support_cut = TRUNK_CASES[case]
+    trained, novel = trained_32px
+    state = KnowledgeState(trained.network, partition_params(trained.network, tags), seed=7)
+    caches = evaluate_module._caches
+    built = []
+
+    def recording_caches(*args):
+        out = caches(*args)
+        built.extend(out)
+        return out
+
+    monkeypatch.setattr(evaluate_module, "_caches", recording_caches)
+    for n in (12, 2):
+        built.clear()
+        assert len(evaluate_fewshot(state, novel, espec, mcfg, n_episodes=n, seed=5).per_episode_acc) == n
+        (query_feats, got_query_cut), (support_feats, got_support_cut) = built
+        assert (got_query_cut, got_support_cut) == (query_cut, support_cut)
+        assert (query_feats is support_feats) == (query_cut == support_cut)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def stacked_mismatches(head, mcfg, task_l2, tags, n_episodes, seed=3) -> list[st
     """
     state, view = _state_and_view(head, task_l2, tags)
     cut = meta_test_prefix(state, mcfg)
-    feats = evaluate._embed(state.network, view.images, cut, ESPEC.C * ESPEC.Q_query) if cut else view.images
+    feats = evaluate._embed(state.network, view.images, 0, cut, ESPEC.C * ESPEC.Q_query) if cut else view.images
     episodes, rngs = zip(*(_episode(i, view, ESPEC, seed) for i in range(n_episodes)))
     problems = []
     with ops.one_blas_thread():
@@ -185,7 +185,7 @@ def test_a_grouped_query_forward_equals_the_whole_stack_forward(monkeypatch, cas
     mcfg, tags = GROUPED_CASES[case]
     state, view = _state_and_view(head, 0.0, tags)
     cut, chunk, n = meta_test_prefix(state, mcfg), ESPEC.C * ESPEC.Q_query, 7
-    feats = evaluate._embed(state.network, view.images, cut, chunk) if cut else view.images
+    feats = evaluate._embed(state.network, view.images, 0, cut, chunk) if cut else view.images
     episodes, rngs = zip(*(_episode(i, view, ESPEC, 3) for i in range(n)))
     queries = np.concatenate([feats[episode.query_idx] for episode in episodes])
     with ops.one_blas_thread():
@@ -363,8 +363,8 @@ _STACKED_DRAW_TESTS = [
 ]
 
 
-# the grouped query forward and the tests of the view caches and of the
-# training fast paths, each bitwise against a plain path, and the evaluate, training and ablate digests recorded for
+# the grouped query forward and the tests of the view caches, of their shared
+# trunk and of the training fast paths, each bitwise against a plain path, and the evaluate, training and ablate digests recorded for
 # each kernel, rerun whole in a child under another kernel
 _KERNEL_TESTS = [
     "test_stacking.py::test_a_grouped_query_forward_equals_the_whole_stack_forward",
@@ -380,6 +380,10 @@ _KERNEL_TESTS = [
         "test_task_dropout_on_conv4_costs_four_convs_per_episode",
         "test_a_short_frozen_evaluate_embeds_only_the_images_it_reads",
         "test_a_probe_that_fails_for_one_cache_skips_only_that_cache",
+        "test_an_embed_continued_from_any_point_equals_one_embed",
+        "test_a_frozen_evaluate_runs_conv1_on_the_images_read_once_and_on_the_probes",
+        "test_the_trunk_gives_the_bytes_of_separate_caches_and_of_no_cache",
+        "test_a_trunk_that_reaches_a_cut_is_that_cache",
     )),
     "test_fast_paths.py",
     "test_golden.py::test_evaluate_reports_keep_their_digests",
